@@ -5,6 +5,14 @@ phrases in revision text, and a revision-history table miner that rebuilds
 per-country case/death time series and scores them against ground truth.
 """
 
+import os
+
+# One BLAS thread, set before numpy loads: threaded BLAS reductions, such as
+# the dot products inside L-BFGS-B, round differently per thread count, so
+# trained model files would differ between machines.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
 __version__ = "0.1.0"
 
 from .corpus import LABELS, LabeledToken, build_corpus, cohen_kappa, trigram_jaccard

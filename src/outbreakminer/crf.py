@@ -13,11 +13,12 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse import csr_array
 
 from .corpus import LABELS, LabeledToken, pos_tag
 from .errors import IobStructureError, ModelFormatError, TrainingError
@@ -189,14 +190,19 @@ def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
+def _forward(emis: np.ndarray, trans: np.ndarray):
+    """Log-space forward scores and the log partition."""
+    alpha = np.empty(emis.shape)
+    alpha[0] = emis[0]
+    for t in range(1, len(emis)):
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emis[t]
+    return alpha, float(_logsumexp(alpha[-1], axis=0))
+
+
 def _forward_backward(emis: np.ndarray, trans: np.ndarray):
     """Exact marginals from emission scores; all work in log space."""
     n, n_labels = emis.shape
-    alpha = np.empty((n, n_labels))
-    alpha[0] = emis[0]
-    for t in range(1, n):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emis[t]
-    log_z = float(_logsumexp(alpha[-1], axis=0))
+    alpha, log_z = _forward(emis, trans)
 
     beta = np.zeros((n, n_labels))
     for t in range(n - 2, -1, -1):
@@ -233,48 +239,95 @@ def log_forward_backward(model: CrfModel, tokens: Sequence[str],
 # objective and gradient
 # ---------------------------------------------------------------------------
 
-def _encoded_nll_grad(weights: np.ndarray, n_features: int, n_labels: int,
-                      encoded: list[tuple[list[np.ndarray], np.ndarray]],
-                      l2_lambda: float):
-    emission_w = weights[: n_features * n_labels].reshape(n_features, n_labels)
-    trans = weights[n_features * n_labels:].reshape(n_labels, n_labels)
-    grad = np.zeros_like(weights)
-    grad_e = grad[: n_features * n_labels].reshape(n_features, n_labels)
-    grad_t = grad[n_features * n_labels:].reshape(n_labels, n_labels)
-    nll = 0.0
-    for rows_per_pos, y in encoded:
-        emis = _emission_matrix(emission_w, rows_per_pos, n_labels)
-        log_z, unary, pairwise = _forward_backward(emis, trans)
-        n = len(y)
-        score = emis[np.arange(n), y].sum()
-        if n > 1:
-            score += trans[y[:-1], y[1:]].sum()
-        nll += log_z - score
-        for t, rows in enumerate(rows_per_pos):
-            if rows.size:
-                np.add.at(grad_e, rows, unary[t])
-                grad_e[rows, y[t]] -= 1.0
-        if n > 1:
-            grad_t += pairwise.sum(axis=0)
-            np.add.at(grad_t, (y[:-1], y[1:]), -1.0)
-    nll += 0.5 * l2_lambda * float(weights @ weights)
-    grad += l2_lambda * weights
-    return nll, grad
-
-
 def _encode_dataset(model: CrfModel, dataset: Sequence[Sequence[LabeledToken]]):
+    """One training batch: ``(x, y, steps)``.
+
+    ``x`` is a CSR position x feature indicator matrix, positions in dataset
+    order; ``y`` holds each position's gold label index; ``steps`` is a
+    ``(B, L)`` index from sequence step to position row, padded with -1.
+    Its rows run longest sequence first, so the sequences still running at
+    any step are a prefix of the rows.
+    """
     label_index = {lab: i for i, lab in enumerate(model.labels)}
-    encoded = []
+    rows: list[np.ndarray] = []
+    labels: list[int] = []
     for seq in dataset:
         tokens = [t.token for t in seq]
         pos = [t.pos for t in seq]
         try:
-            y = np.asarray([label_index[t.label] for t in seq], dtype=np.intp)
+            labels.extend(label_index[t.label] for t in seq)
         except KeyError as exc:
             raise ValueError(f"label {exc.args[0]!r} not in model label set") from None
-        rows = _encode_positions(model.feature_index, model.config, tokens, pos)
-        encoded.append((rows, y))
-    return encoded
+        rows.extend(_encode_positions(model.feature_index, model.config, tokens, pos))
+    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows], dtype=np.intp)])
+    indices = np.concatenate(rows or [np.zeros(0, dtype=np.intp)])
+    x = csr_array((np.ones(indices.size), indices, indptr),
+                  shape=(len(rows), model.n_features))
+
+    lengths = np.asarray([len(seq) for seq in dataset], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    offsets = np.arange(lengths.max(initial=0))
+    steps = np.where(offsets < lengths[order, None], starts[order, None] + offsets, -1)
+    return x, np.asarray(labels, dtype=np.intp), steps
+
+
+def _encoded_nll_grad(weights: np.ndarray, n_features: int, n_labels: int,
+                      encoded, l2_lambda: float):
+    """Objective and gradient over one ``_encode_dataset`` batch.
+
+    Forward-backward runs over the whole batch at once, in probability space
+    with one normaliser per step (Rabiner 1989; Sutton & McCallum 2012,
+    section 4.1). Each position's emission max and the transition max are
+    taken out before exponentiating and added back into log Z, so scores
+    stay finite while a step's score range is well under ~700.
+    """
+    x, y, steps = encoded
+    n_emit = n_features * n_labels
+    emission_w = weights[:n_emit].reshape(n_features, n_labels)
+    trans = weights[n_emit:].reshape(n_labels, n_labels)
+    nll = 0.5 * l2_lambda * float(np.sum(weights * weights))
+    grad = l2_lambda * weights
+    if y.size:
+        emis = x @ emission_w
+        emis_max = emis.max(axis=1)
+        trans_max = trans.max()
+        expo_t = np.exp(trans - trans_max)
+        # Time-major: slab t holds step t, and its first running[t] rows are
+        # the sequences still running there.
+        index = steps.T
+        valid = index >= 0
+        running = valid.sum(axis=1)
+        psi = np.exp(emis - emis_max[:, None])[index]
+        alpha = np.zeros_like(psi)
+        beta = np.ones_like(psi)
+        # ahead[t] = psi[t] * beta[t] / scale[t], shared by the backward
+        # recursion and the expected transition counts.
+        ahead = np.zeros_like(psi)
+        scale = np.ones(index.shape)  # padding keeps 1, adding log 1 = 0
+        for t, n in enumerate(running):
+            a = psi[t, :n] if t == 0 else (alpha[t - 1, :n] @ expo_t) * psi[t, :n]
+            scale[t, :n] = a.sum(axis=1)
+            alpha[t, :n] = a / scale[t, :n, None]
+        for t in range(len(running) - 1, 0, -1):
+            n = running[t]
+            ahead[t, :n] = psi[t, :n] * beta[t, :n] / scale[t, :n, None]
+            beta[t - 1, :n] = ahead[t, :n] @ expo_t.T
+
+        edge = valid[1:]
+        prev, nxt = index[:-1][edge], index[1:][edge]
+        log_z = np.log(scale).sum() + emis_max.sum() + prev.size * trans_max
+        gold = emis[np.arange(y.size), y].sum() + trans[y[prev], y[nxt]].sum()
+        nll += float(log_z - gold)
+
+        marginals = np.empty_like(emis)
+        marginals[index[valid]] = (alpha * beta)[valid]
+        marginals[np.arange(y.size), y] -= 1.0
+        grad[:n_emit] += (x.T @ marginals).ravel()
+        grad_t = expo_t * (alpha[:-1][edge].T @ ahead[1:][edge])
+        np.add.at(grad_t, (y[prev], y[nxt]), -1.0)
+        grad[n_emit:] += grad_t.ravel()
+    return nll, grad
 
 
 def nll_and_gradient(model: CrfModel, dataset: Sequence[Sequence[LabeledToken]]):
@@ -412,7 +465,7 @@ def viterbi(model: CrfModel, tokens: Sequence[str],
     path.reverse()
     labels = [model.labels[i] for i in path]
 
-    log_z, _, _ = _forward_backward(emis, model.transition_weights)
+    _, log_z = _forward(emis, model.transition_weights)
     return TagResult(
         labels=labels,
         spans=spans_from_iob(labels, strict=False),
@@ -563,7 +616,3 @@ def load_model(source) -> CrfModel:
         config=config,
     )
 
-
-def with_max_ngram(config: FeatureConfig, max_ngram_len: int) -> FeatureConfig:
-    """Copy of the config at a different n-gram cap (sweep helper)."""
-    return replace(config, max_ngram_len=max_ngram_len)

@@ -56,6 +56,11 @@ class TrainingError(OutbreakError):
         super().__init__(message)
         self.iteration = iteration
 
+    def __reduce__(self):
+        # Pickling rebuilds from args alone by default, which would drop
+        # the count when a fold fails in a worker process.
+        return type(self), (str(self), self.iteration)
+
 
 class GroundTruthError(OutbreakError):
     """Bad ground-truth CSV; carries the 1-based offending row number."""

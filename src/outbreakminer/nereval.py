@@ -10,11 +10,12 @@ from __future__ import annotations
 import logging
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 from .corpus import LABELS, LabeledToken
-from .crf import FeatureConfig, train, viterbi, with_max_ngram
+from .crf import FeatureConfig, train, viterbi
 from .errors import TrainingError
 
 logger = logging.getLogger(__name__)
@@ -156,6 +157,14 @@ def _fold_counts(payload) -> dict[str, tuple[int, int, int, int]]:
     return {label: (c.tp, c.fp, c.fn, c.tn) for label, c in counts.items()}
 
 
+def _in_fold(index: int, compute):
+    """Run one fold's work, naming the fold in any TrainingError it raises."""
+    try:
+        return compute()
+    except TrainingError as exc:
+        raise TrainingError(f"fold {index}: {exc}", iteration=exc.iteration) from exc
+
+
 def cross_validate(corpus: Sequence[Sequence[LabeledToken]], config: FeatureConfig,
                    k: int = 10, seed: int = 0, *, max_iter: int = 150,
                    n_jobs: int = 1) -> MetricsReport:
@@ -172,17 +181,11 @@ def cross_validate(corpus: Sequence[Sequence[LabeledToken]], config: FeatureConf
 
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            try:
-                fold_results = list(pool.map(_fold_counts, payloads))
-            except TrainingError:
-                raise
+            futures = [pool.submit(_fold_counts, payload) for payload in payloads]
+            fold_results = [_in_fold(i, future.result) for i, future in enumerate(futures)]
     else:
-        fold_results = []
-        for i, payload in enumerate(payloads):
-            try:
-                fold_results.append(_fold_counts(payload))
-            except TrainingError as exc:
-                raise TrainingError(f"fold {i}: {exc}", iteration=exc.iteration) from exc
+        fold_results = [_in_fold(i, partial(_fold_counts, payload))
+                        for i, payload in enumerate(payloads)]
 
     score_labels_list = [l for l in LABELS if l != "O"]
     per_label_acc = {label: [0.0, 0.0, 0.0, 0] for label in score_labels_list}
@@ -224,7 +227,7 @@ def sweep_ngram(corpus: Sequence[Sequence[LabeledToken]], k: int, seed: int,
     rows = []
     for value in ngram_values:
         report = cross_validate(
-            corpus, with_max_ngram(base, value), k, seed,
+            corpus, replace(base, max_ngram_len=value), k, seed,
             max_iter=max_iter, n_jobs=n_jobs,
         )
         rows.append(SweepRow(

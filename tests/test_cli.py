@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import outbreakminer
 from outbreakminer.cli import main
 from outbreakminer.corpus import LabeledToken, write_iob_tsv
 from outbreakminer.ingest import RevisionCache
+from outbreakminer.synthcorpus import generate_labeled_corpus
 
 
 def run(*argv):
@@ -380,3 +385,21 @@ class TestDeterminism:
         first = run_pipeline(tmp_path / "run1")
         second = run_pipeline(tmp_path / "run2")
         assert first == second
+
+    def test_ner_train_model_identical_across_blas_threads(self, tmp_path):
+        # Threaded BLAS reductions round differently per thread count, so
+        # this holds only because the package pins BLAS to one thread.
+        corpus = tmp_path / "corpus.tsv"
+        write_iob_tsv(generate_labeled_corpus(90, seed=5), corpus)
+        models = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(outbreakminer.__file__).parents[1]))
+            model = tmp_path / f"model{threads}.tsv"
+            subprocess.run(
+                [sys.executable, "-m", "outbreakminer.cli", "ner", "train",
+                 "--corpus", str(corpus), "--max-iter", "40", "--out", str(model)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            models.append(model.read_bytes())
+        assert models[0] == models[1]

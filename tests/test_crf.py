@@ -205,6 +205,56 @@ class TestObjective:
                 scale = max(1.0, abs(gradient[i]), abs(numeric))
                 assert abs(gradient[i] - numeric) <= 1e-6 * scale
 
+    @pytest.mark.parametrize("weight_scale", [1.0, 10.0])
+    def test_mixed_length_batch_matches_per_sequence_oracle(self, weight_scale):
+        # Sequences of lengths 1-8 in one batch exercise the padding and
+        # the longest-first step index.
+        from outbreakminer.crf import _emission_matrix, _encode_positions
+
+        pyrng = random.Random(17)
+        rng = np.random.default_rng(17)
+        labels = ("L0", "L1", "L2", "L3")
+        cfg = FeatureConfig(max_ngram_len=2, window=1, use_pos=False,
+                            use_shape=False, l2_lambda=0.3)
+        sequences = [[pyrng.choice(["ab", "b", "ba", "a"]) for _ in range(n)]
+                     for n in (3, 1, 8, 5, 1, 7, 2, 8, 4, 6)]
+        names: dict[str, None] = {}
+        for tokens in sequences:
+            for t in range(len(tokens)):
+                for name in extract_features(tokens, ["OTHER"] * len(tokens), t, cfg):
+                    names.setdefault(name)
+        size = len(names) * len(labels) + len(labels) ** 2
+        model = CrfModel(labels, tuple(names), rng.normal(0.0, weight_scale, size), cfg)
+        dataset = [[BareToken(tok, "OTHER", pyrng.choice(labels)) for tok in tokens]
+                   for tokens in sequences]
+
+        expected = 0.5 * cfg.l2_lambda * float(model.weights @ model.weights)
+        for seq in dataset:
+            tokens = [tok.token for tok in seq]
+            y = [labels.index(tok.label) for tok in seq]
+            log_z, _, _ = log_forward_backward(model, tokens, ["OTHER"] * len(tokens))
+            rows = _encode_positions(model.feature_index, cfg, tokens,
+                                     ["OTHER"] * len(tokens))
+            emis = _emission_matrix(model.emission_weights, rows, len(labels))
+            gold = emis[np.arange(len(y)), y].sum()
+            gold += sum(model.transition_weights[a, b] for a, b in zip(y, y[1:]))
+            expected += log_z - gold
+        objective, gradient = nll_and_gradient(model, dataset)
+        assert abs(objective - expected) <= 1e-9 * abs(expected)
+
+        h = 1e-5
+        for i in range(size):
+            w_plus, w_minus = model.weights.copy(), model.weights.copy()
+            w_plus[i] += h
+            w_minus[i] -= h
+            f_plus, _ = nll_and_gradient(CrfModel(labels, model.feature_names, w_plus, cfg),
+                                         dataset)
+            f_minus, _ = nll_and_gradient(CrfModel(labels, model.feature_names, w_minus, cfg),
+                                          dataset)
+            numeric = (f_plus - f_minus) / (2 * h)
+            scale = max(1.0, abs(gradient[i]), abs(numeric))
+            assert abs(gradient[i] - numeric) <= 1e-6 * scale, i
+
 
 def toy_corpus(n=50):
     corpus = []

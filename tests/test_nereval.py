@@ -156,10 +156,14 @@ class TestCrossValidate:
         def explode(*args, **kwargs):
             raise TrainingError("objective became non-finite", iteration=3)
 
+        # The pool forks on Linux, so its workers see the patched train too.
         monkeypatch.setattr(nereval, "train", explode)
-        with pytest.raises(TrainingError) as err:
-            cross_validate(separable_corpus(6), FAST_CONFIG, k=2, seed=0)
-        assert "fold 0" in str(err.value)
+        for n_jobs in (1, 2):
+            with pytest.raises(TrainingError) as err:
+                cross_validate(separable_corpus(6), FAST_CONFIG, k=2, seed=0,
+                               n_jobs=n_jobs)
+            assert "fold 0" in str(err.value)
+            assert err.value.iteration == 3
 
     def test_report_dict_shape(self):
         report = cross_validate(separable_corpus(6), FAST_CONFIG, k=2, seed=0,
