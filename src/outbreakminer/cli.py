@@ -14,6 +14,8 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -71,10 +73,18 @@ def _write_json(payload, destination: str | None) -> None:
         Path(destination).write_text(text, encoding="utf-8")
 
 
-def _open_csv(destination: str | None):
+@contextmanager
+def _csv_writer(destination: str | None):
+    """A csv.writer on stdout for None or "-", otherwise on a file it closes."""
     if destination is None or destination == "-":
-        return sys.stdout, False
-    return open(destination, "w", encoding="utf-8", newline=""), True
+        yield csv.writer(sys.stdout, lineterminator="\n")
+        return
+    with open(destination, "w", encoding="utf-8", newline="") as handle:
+        yield csv.writer(handle, lineterminator="\n")
+
+
+def _sweep_report(rows: list[nereval.SweepRow]) -> dict:
+    return {"kind": "sweep_report", "rows": [asdict(row) for row in rows]}
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +96,7 @@ def emit_plot_data(report, destination) -> None:
     if hasattr(report, "to_dict"):
         report = report.to_dict()
     if isinstance(report, list):  # sweep rows
-        report = {
-            "kind": "sweep_report",
-            "rows": [
-                {
-                    "max_ngram_len": r.max_ngram_len,
-                    "precision": r.precision,
-                    "recall": r.recall,
-                    "f1": r.f1,
-                }
-                for r in report
-            ],
-        }
+        report = _sweep_report(report)
     kind = report.get("kind")
     rows: list[tuple] = []
     if kind == "sweep_report":
@@ -121,14 +120,9 @@ def emit_plot_data(report, destination) -> None:
             rows.append((day["date"], "revisions", day["count"]))
     else:
         raise ValueError(f"unknown report kind {kind!r}")
-    handle, own = _open_csv(destination)
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
+    with _csv_writer(destination) as writer:
         writer.writerow(["x", "series", "value"])
         writer.writerows(rows)
-    finally:
-        if own:
-            handle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -216,42 +210,33 @@ def _tables_interpolate(args) -> int:
     return 0
 
 
-def _write_rmse_outputs(report: ts_mod.RmseReport, args) -> None:
+def _score_rmse(sets: list[ts_mod.RevisionSeries], args) -> int:
+    """Dedup, score against ground truth, write the outputs; returns unique sets."""
+    unique = ts_mod.dedup_series(sets)
+    truth = ts_mod.load_ground_truth(args.truth)
+    start = _parse_day(args.start_from) if args.start_from else None
+    report = ts_mod.rmse_report(unique, truth, start=start)
     timestamps = dict(report.revisions)
     if args.output:
-        handle, own = _open_csv(args.output)
-        try:
-            writer = csv.writer(handle, lineterminator="\n")
+        with _csv_writer(args.output) as writer:
             writer.writerow(["revision_id", "timestamp", "country", "metric", "rmse"])
             for (rev, country, metric), value in sorted(report.per_revision.items()):
                 writer.writerow([rev, timestamps.get(rev, ""), country, metric,
                                  repr(value)])
-        finally:
-            if own:
-                handle.close()
     if args.summary:
-        handle, own = _open_csv(args.summary)
-        try:
-            writer = csv.writer(handle, lineterminator="\n")
+        with _csv_writer(args.summary) as writer:
             writer.writerow(["country", "metric", "mean_rmse"])
             for (country, metric), value in sorted(report.mean_per_country.items()):
                 writer.writerow([country, metric, repr(value)])
-        finally:
-            if own:
-                handle.close()
     if args.out_json:
         _write_json(report.to_dict(), args.out_json)
     for country, metric in report.gaps:
         print(f"no ground truth for ({country}, {metric})", file=sys.stderr)
+    return len(unique)
 
 
 def _tables_rmse(args) -> int:
-    sets = _load_revision_series(args.input)
-    sets = ts_mod.dedup_series(sets)
-    truth = ts_mod.load_ground_truth(args.truth)
-    start = _parse_day(args.start_from) if args.start_from else None
-    report = ts_mod.rmse_report(sets, truth, start=start)
-    _write_rmse_outputs(report, args)
+    _score_rmse(_load_revision_series(args.input), args)
     return 0
 
 
@@ -261,15 +246,8 @@ def cmd_rmse(args) -> int:
     if not revisions:
         raise OutbreakError(f"no cached revisions for {args.title!r}; run fetch first")
     sets = ts_mod.extract_revision_series(revisions)
-    unique = ts_mod.dedup_series(sets)
-    truth = ts_mod.load_ground_truth(args.truth)
-    start = _parse_day(args.start_from) if args.start_from else None
-    report = ts_mod.rmse_report(unique, truth, start=start)
-    _write_rmse_outputs(report, args)
-    print(
-        f"{len(sets)} revisions with tables, {len(unique)} unique series sets",
-        file=sys.stderr,
-    )
+    unique = _score_rmse(sets, args)
+    print(f"{len(sets)} revisions with tables, {unique} unique series sets", file=sys.stderr)
     return 0
 
 
@@ -347,9 +325,7 @@ def cmd_ner(args) -> int:
             max_iter=args.max_iter, n_jobs=args.jobs,
         )
         if args.format == "csv":
-            handle, own = _open_csv(args.output)
-            try:
-                writer = csv.writer(handle, lineterminator="\n")
+            with _csv_writer(args.output) as writer:
                 writer.writerow(["label", "precision", "recall", "f1", "support"])
                 for label in sorted(report.per_label):
                     m = report.per_label[label]
@@ -357,9 +333,6 @@ def cmd_ner(args) -> int:
                                      repr(m.f1), m.support])
                 writer.writerow(["aggregate", repr(report.aggregate[0]),
                                  repr(report.aggregate[1]), repr(report.aggregate[2]), ""])
-            finally:
-                if own:
-                    handle.close()
         else:
             _write_json(report.to_dict(), args.output)
         p, r, f1 = report.aggregate
@@ -373,29 +346,13 @@ def cmd_ner(args) -> int:
             max_iter=args.max_iter, n_jobs=args.jobs,
         )
         if args.format == "csv":
-            handle, own = _open_csv(args.output)
-            try:
-                writer = csv.writer(handle, lineterminator="\n")
+            with _csv_writer(args.output) as writer:
                 writer.writerow(["max_ngram_len", "precision", "recall", "f1"])
                 for row in rows:
                     writer.writerow([row.max_ngram_len, repr(row.precision),
                                      repr(row.recall), repr(row.f1)])
-            finally:
-                if own:
-                    handle.close()
         else:
-            _write_json({
-                "kind": "sweep_report",
-                "rows": [
-                    {
-                        "max_ngram_len": row.max_ngram_len,
-                        "precision": row.precision,
-                        "recall": row.recall,
-                        "f1": row.f1,
-                    }
-                    for row in rows
-                ],
-            }, args.output)
+            _write_json(_sweep_report(rows), args.output)
         return 0
     raise _UsageError("ner: choose a subcommand (train, tag, eval, sweep)")
 

@@ -197,7 +197,6 @@ def fetch_revisions(query: RevisionQuery, cache: RevisionCache,
         params["rvend"] = query.end.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
     revisions: list[ArticleRevision] = []
-    revision_ids: list[int] = []
     skipped = 0
     continuation: str | None = None
     last_request = 0.0
@@ -232,7 +231,7 @@ def fetch_revisions(query: RevisionQuery, cache: RevisionCache,
                 f"unexpected API response shape: {exc}",
                 fragment=repr(payload)[:400],
             ) from exc
-        if page.get("missing") or "missing" in page:
+        if "missing" in page:
             raise ArticleNotFoundError(f"article {title!r} does not exist")
         for record in page.get("revisions", []):
             revision = revision_from_record(record)
@@ -241,16 +240,14 @@ def fetch_revisions(query: RevisionQuery, cache: RevisionCache,
                 continue
             cache.put_record(title, record)
             revisions.append(revision)
-            revision_ids.append(revision.revision_id)
         cont = payload.get("continue", {})
         continuation = cont.get("rvcontinue")
         if continuation is None:
             break
 
     revisions.sort(key=lambda r: r.timestamp)
-    revision_ids = [r.revision_id for r in revisions]
     index["queries"][key] = {
-        "revision_ids": revision_ids,
+        "revision_ids": [r.revision_id for r in revisions],
         "skipped_suppressed": skipped,
         "fetched_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
     }

@@ -1,9 +1,10 @@
 """Wikitext handling: markup stripping, table extraction, sentences, tokens.
 
-This is a hand-written single-pass scanner for the small markup subset the
-pipeline needs (templates, links, refs, comments, tables, emphasis,
-headings), not a general MediaWiki parser. Unbalanced constructs are dropped
-through end-of-construct heuristics and logged rather than raised.
+This handles the small markup subset the pipeline needs (templates, links,
+refs, comments, tables, emphasis, headings), not general MediaWiki. Nesting
+is matched by ``re.finditer`` token scans over the open/close markers.
+Unclosed constructs drop through to end of text and are logged rather than
+raised.
 """
 
 from __future__ import annotations
@@ -104,67 +105,58 @@ def _remove_paired_tag(text: str, tag: str) -> str:
     return pattern.sub("", text)
 
 
-def _remove_balanced(text: str, open_tok: str, close_tok: str, label: str) -> str:
-    """Remove every balanced open_tok...close_tok region, nesting-aware.
+def _replace_balanced(text: str, open_tok: str, close_tok: str, label: str,
+                      replace) -> str:
+    """Replace every outermost open_tok...close_tok region with replace(inner).
 
-    Unbalanced openers drop through to end of text (logged); stray closers
-    are left alone.
+    Nesting-aware. An unclosed opener drops through to end of text (logged);
+    stray closers are left alone.
     """
+    if open_tok not in text:  # most table cells carry no markup
+        return text
     out = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        start = text.find(open_tok, pos)
-        if start == -1:
-            out.append(text[pos:])
-            break
-        out.append(text[pos:start])
-        depth = 1
-        scan = start + len(open_tok)
-        while depth and scan < n:
-            nxt_open = text.find(open_tok, scan)
-            nxt_close = text.find(close_tok, scan)
-            if nxt_close == -1:
-                scan = n
-                depth = 0
-                logger.warning("unbalanced %s at offset %d; dropping to end", label, start)
-                break
-            if nxt_open != -1 and nxt_open < nxt_close:
-                depth += 1
-                scan = nxt_open + len(open_tok)
-            else:
-                depth -= 1
-                scan = nxt_close + len(close_tok)
-        pos = scan
+    pos = depth = start = 0
+    for match in re.finditer(f"{re.escape(open_tok)}|{re.escape(close_tok)}", text):
+        if match.group() == open_tok:
+            if depth == 0:
+                out.append(text[pos:match.start()])
+                start = match.start()
+            depth += 1
+        elif depth:
+            depth -= 1
+            if depth == 0:
+                out.append(replace(text[start + len(open_tok):match.start()]))
+                pos = match.end()
+    if depth:
+        logger.warning("unclosed %s at offset %d; dropping to end", label, start)
+    else:
+        out.append(text[pos:])
     return "".join(out)
+
+
+# A table opener directly after "{" or a closer directly before "}" is
+# template syntax, not a table marker.
+_TABLE_TOKEN = re.compile(r"(?<!\{)\{\||\|\}(?!\})")
 
 
 def _find_table_spans(text: str) -> list[tuple[int, int, int]]:
     """Locate ``{| ... |}`` blocks as (start, end, depth).
 
-    ``end`` is the offset just past the closing ``|}``. Template syntax is
-    guarded against: ``{|`` directly after ``{`` and ``|}`` directly before
-    ``}`` are not table markers. Unclosed blocks run to end of text.
+    ``end`` is the offset just past the closing ``|}``. Unclosed blocks run
+    to end of text.
     """
     spans = []
     stack = []
-    i = 0
-    n = len(text)
-    while i < n - 1:
-        two = text[i:i + 2]
-        if two == "{|" and (i == 0 or text[i - 1] != "{"):
-            stack.append(i)
-            i += 2
-        elif two == "|}" and stack and (i + 2 >= n or text[i + 2] != "}"):
+    for match in _TABLE_TOKEN.finditer(text):
+        if match.group() == "{|":
+            stack.append(match.start())
+        elif stack:
             start = stack.pop()
-            spans.append((start, i + 2, len(stack)))
-            i += 2
-        else:
-            i += 1
+            spans.append((start, match.end(), len(stack)))
     while stack:
         start = stack.pop()
         logger.warning("unclosed table block at offset %d; dropping to end", start)
-        spans.append((start, n, len(stack)))
+        spans.append((start, len(text), len(stack)))
     return spans
 
 
@@ -175,76 +167,33 @@ def _remove_tables(text: str) -> str:
     return text
 
 
-def _replace_links(text: str) -> str:
-    """Resolve [[...]] constructs: keep display text, drop media links."""
-    out = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        start = text.find("[[", pos)
-        if start == -1:
-            out.append(text[pos:])
-            break
-        out.append(text[pos:start])
-        depth = 1
-        scan = start + 2
-        while depth and scan < n:
-            nxt_open = text.find("[[", scan)
-            nxt_close = text.find("]]", scan)
-            if nxt_close == -1:
-                scan = n
-                depth = 0
-                logger.warning("unclosed [[ at offset %d; dropping to end", start)
-                break
-            if nxt_open != -1 and nxt_open < nxt_close:
-                depth += 1
-                scan = nxt_open + 2
-            else:
-                depth -= 1
-                scan = nxt_close + 2
-        inner = text[start + 2:max(start + 2, scan - 2)]
-        if not inner.lower().startswith(_DROP_LINK_NAMESPACES):
-            parts = _split_protected(inner, ("|",))
-            kept = parts[-1] if len(parts) > 1 else parts[0]
-            out.append(_replace_links(kept) if "[[" in kept else kept)
-        pos = scan
-    return "".join(out)
+def _link_text(inner: str) -> str:
+    """Display text of one [[...]] link: empty for media links."""
+    if inner.lower().startswith(_DROP_LINK_NAMESPACES):
+        return ""
+    kept = _split_protected(inner, ("|",))[-1]
+    return _replace_balanced(kept, "[[", "]]", "[[", _link_text)
 
 
 def _split_protected(text: str, seps: tuple[str, ...]) -> list[str]:
-    """Split on separators occurring outside [[...]] and {{...}} nesting."""
+    """Split on separators occurring outside [[...]] and {{...}} nesting.
+
+    Separators must contain no bracket characters, so no separator can
+    overlap a nesting token.
+    """
     parts = []
-    buf: list[str] = []
-    depth = 0
-    i = 0
-    n = len(text)
-    sep_lens = {s: len(s) for s in seps}
-    while i < n:
-        two = text[i:i + 2]
-        if two in ("[[", "{{"):
+    depth = pos = 0
+    tokens = r"\[\[|\{\{|\]\]|\}\}|" + "|".join(map(re.escape, seps))
+    for match in re.finditer(tokens, text):
+        tok = match.group()
+        if tok in ("[[", "{{"):
             depth += 1
-            buf.append(two)
-            i += 2
-            continue
-        if two in ("]]", "}}"):
+        elif tok in ("]]", "}}"):
             depth = max(0, depth - 1)
-            buf.append(two)
-            i += 2
-            continue
-        if depth == 0:
-            matched = None
-            for sep in seps:
-                if text.startswith(sep, i):
-                    matched = sep
-                    break
-            if matched is not None:
-                parts.append("".join(buf))
-                buf = []
-                i += sep_lens[matched]
-                continue
-        buf.append(text[i])
-        i += 1
-    parts.append("".join(buf))
+        elif depth == 0:
+            parts.append(text[pos:match.start()])
+            pos = match.end()
+    parts.append(text[pos:])
     return parts
 
 
@@ -276,11 +225,11 @@ def strip_markup(wikitext: str, remove_tables: bool = True) -> str:
     text = _remove_comments(wikitext)
     text = _remove_refs(text)
     text = _remove_paired_tag(text, "gallery")
-    text = _remove_balanced(text, "{{", "}}", "template")
+    text = _replace_balanced(text, "{{", "}}", "template", lambda inner: "")
     if remove_tables:
         text = _remove_tables(text)
     text = _HEADING.sub(r"\1", text)
-    text = _replace_links(text)
+    text = _replace_balanced(text, "[[", "]]", "[[", _link_text)
     text = _EXTERNAL_LINK.sub(lambda m: m.group(1) or "", text)
     text = _HTML_TAG.sub("", text)
     text = _LIST_MARKER.sub("", text)
@@ -296,6 +245,16 @@ def strip_markup(wikitext: str, remove_tables: bool = True) -> str:
 # ---------------------------------------------------------------------------
 
 _SPAN_ATTR = re.compile(r"(rowspan|colspan)\s*=\s*\"?(\d+)\"?", re.IGNORECASE)
+
+# MediaWiki's limits; beyond them one vandal attribute could exhaust memory.
+_MAX_ROWSPAN = 65534
+_MAX_COLSPAN = 1000
+
+
+def _span_value(digits: str, limit: int) -> int:
+    # int() refuses runs past 4300 digits; over 9 significant digits is over any limit.
+    digits = digits.lstrip("0") or "0"
+    return limit if len(digits) > 9 else max(1, min(limit, int(digits)))
 
 
 def _parse_cell(raw: str) -> tuple[str, int, int]:
@@ -314,9 +273,9 @@ def _parse_cell(raw: str) -> tuple[str, int, int]:
             body = "|".join(parts[1:])
             for name, value in _SPAN_ATTR.findall(prefix):
                 if name.lower() == "rowspan":
-                    rowspan = max(1, int(value))
+                    rowspan = _span_value(value, _MAX_ROWSPAN)
                 else:
-                    colspan = max(1, int(value))
+                    colspan = _span_value(value, _MAX_COLSPAN)
     text = strip_markup(body, remove_tables=True)
     return " ".join(text.split()), rowspan, colspan
 
@@ -327,9 +286,8 @@ def _expand_spans(cell_rows: list[list[tuple[str, int, int]]]) -> list[list[str]
     carry: dict[int, list] = {}  # column -> [value, rows remaining]
     for cells in cell_rows:
         row: list[str] = []
-        col = 0
-        queue = list(cells)
-        while queue or (col in carry):
+        col = idx = 0
+        while idx < len(cells) or col in carry:
             if col in carry:
                 value, remaining = carry[col]
                 row.append(value)
@@ -339,7 +297,8 @@ def _expand_spans(cell_rows: list[list[tuple[str, int, int]]]) -> list[list[str]
                     del carry[col]
                 col += 1
                 continue
-            text, rowspan, colspan = queue.pop(0)
+            text, rowspan, colspan = cells[idx]
+            idx += 1
             for _ in range(colspan):
                 row.append(text)
                 if rowspan > 1:

@@ -1,10 +1,14 @@
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outbreakminer.wikitext import (
+    _find_table_spans,
+    _parse_cell,
     _sentence_spans,
+    _split_protected,
     parse_tables,
     split_sentences,
     strip_markup,
@@ -58,6 +62,9 @@ class TestStripMarkup:
 
     def test_unbalanced_template_dropped_to_end(self):
         assert strip_markup("keep {{never closed\nrest") == "keep "
+
+    def test_unclosed_link_dropped_to_end(self):
+        assert strip_markup("see [[Ebola virus disease and more") == "see "
 
     def test_idempotent_on_fixtures(self):
         for fixture in STRIP_FIXTURES:
@@ -145,6 +152,60 @@ class TestParseTables:
             assert width > 0
             for row in table.rows:
                 assert len(row) == width
+
+
+class TestScanners:
+    @pytest.mark.parametrize("text, spans", [
+        ("{{|}", []),                      # "{|" after "{" is template syntax
+        ("{|}", [(0, 3, 0)]),              # "|}" may not reuse the opener's pipe
+        ("a|}}b", []),                     # "|}" before "}" is template syntax
+        ("{|\n|}}", [(0, 6, 0)]),
+        ("{|\n{|\n|}\n|}", [(3, 8, 1), (0, 11, 0)]),
+        ("{| a\n|-\n| 1", [(0, 11, 0)]),   # unclosed runs to end of text
+        ("{|{|", [(2, 4, 1), (0, 4, 0)]),
+    ])
+    def test_find_table_spans(self, text, spans):
+        assert _find_table_spans(text) == spans
+
+    @pytest.mark.parametrize("text, seps, parts", [
+        ("[[a|b]]|c", ("|",), ["[[a|b]]", "c"]),
+        ("{{t|x}}||y", ("||",), ["{{t|x}}", "y"]),
+        ("{{t|[[a||b]]}}!!y||z", ("!!", "||"), ["{{t|[[a||b]]}}", "y", "z"]),
+        ("]]|x", ("|",), ["]]", "x"]),     # a stray closer leaves depth at 0
+        ("[[a||b", ("||",), ["[[a||b"]),
+    ])
+    def test_split_protected(self, text, seps, parts):
+        assert _split_protected(text, seps) == parts
+
+
+MARKUP_TOKENS = [
+    "[[", "]]", "{{", "}}", "{|", "|}", "|", "||", "!", "!!", "|-", "|+", "\n", " ",
+    "colspan=3", 'colspan="100000"', "rowspan=70000", "rowspan=2", "<ref>", "</ref>",
+    "<ref name=x/>", "'''", "''", "<!--", "-->", "File:", "== ", "* ",
+    "[http://example.org label]", "Date", "1,234", "=",
+]
+
+
+class TestSpanLimits:
+    @pytest.mark.parametrize("value", ["100000", "9" * 5000], ids=["1e5", "5000-digits"])
+    def test_colspan_capped(self, value):
+        text = f'{{|\n! colspan="{value}" | Date !! Cases\n|-\n| 1 || 2\n|}}'
+        [table] = parse_tables(text)
+        assert len(table.header) == 1001
+        assert table.rows == [["1", "2"] + [""] * 999]
+
+    def test_rowspan_capped(self):
+        assert _parse_cell("rowspan=70000 | x") == ("x", 65534, 1)
+
+    @given(st.lists(st.sampled_from(MARKUP_TOKENS), max_size=60).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_parser_total_and_bounded(self, text):
+        assert len(strip_markup(text)) <= len(text)
+        assert len(strip_markup(text, remove_tables=False)) <= len(text)
+        raw_cells = max(1, text.count("|") + text.count("!"))
+        for table in parse_tables(text):
+            for row in [table.header, *table.rows]:
+                assert len(row) <= 1000 * raw_cells
 
 
 class TestSentences:
