@@ -20,8 +20,6 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import crf as crf_mod
-from . import nereval
 from . import timeseries as ts_mod
 from .errors import OutbreakError
 from .ingest import (
@@ -83,7 +81,7 @@ def _csv_writer(destination: str | None):
         yield csv.writer(handle, lineterminator="\n")
 
 
-def _sweep_report(rows: list[nereval.SweepRow]) -> dict:
+def _sweep_report(rows: list) -> dict:
     return {"kind": "sweep_report", "rows": [asdict(row) for row in rows]}
 
 
@@ -276,8 +274,9 @@ def cmd_corpus(args) -> int:
     raise _UsageError("corpus: choose a subcommand (build or kappa)")
 
 
-def _feature_config(args) -> crf_mod.FeatureConfig:
-    return crf_mod.FeatureConfig(
+def _feature_config(args):
+    from .crf import FeatureConfig
+    return FeatureConfig(
         max_ngram_len=args.max_ngram,
         window=args.window,
         use_pos=not args.no_pos,
@@ -287,6 +286,10 @@ def _feature_config(args) -> crf_mod.FeatureConfig:
 
 
 def cmd_ner(args) -> int:
+    # Only ner trains or decodes, so only ner pays for loading numpy and scipy.
+    from . import crf as crf_mod
+    from . import nereval
+
     if args.ner_cmd == "train":
         dataset = corpus_mod.read_iob_tsv(args.corpus, strict=args.strict)
         model = crf_mod.train(dataset, _feature_config(args), max_iter=args.max_iter)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import logging
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence
 
 from .errors import CorpusFormatError
 from .wikitext import Sentence, split_sentences, strip_markup
@@ -317,16 +318,22 @@ def pos_tag(tokens: Sequence[str]) -> list[str]:
 # IOB TSV format
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def open_text(target, mode: str, newline: str):
+    """UTF-8 text handle on a path, closed on exit; an open file passes through."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode, encoding="utf-8", newline=newline) as handle:
+            yield handle
+    else:
+        yield target
+
+
 def write_iob_tsv(sentences: Iterable[Sequence[LabeledToken]], destination) -> None:
     """Write token<TAB>pos<TAB>label lines, blank line between sentences.
 
     UTF-8, LF line endings, no BOM.
     """
-    own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
-    handle: TextIO = (
-        open(destination, "w", encoding="utf-8", newline="\n") if own else destination
-    )
-    try:
+    with open_text(destination, "w", newline="\n") as handle:
         first = True
         for sentence in sentences:
             if not first:
@@ -334,9 +341,6 @@ def write_iob_tsv(sentences: Iterable[Sequence[LabeledToken]], destination) -> N
             first = False
             for tok in sentence:
                 handle.write(f"{tok.token}\t{tok.pos}\t{tok.label}\n")
-    finally:
-        if own:
-            handle.close()
 
 
 def read_iob_tsv(source, strict: bool = True) -> list[list[LabeledToken]]:
@@ -346,11 +350,9 @@ def read_iob_tsv(source, strict: bool = True) -> list[list[LabeledToken]]:
     predecessor is not B-X/I-X is an error in strict mode; in lenient mode it
     is repaired to B-X and logged.
     """
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    handle: TextIO = open(source, "r", encoding="utf-8", newline="") if own else source
     sentences: list[list[LabeledToken]] = []
     current: list[LabeledToken] = []
-    try:
+    with open_text(source, "r", newline="") as handle:
         for line_number, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line:
@@ -390,9 +392,6 @@ def read_iob_tsv(source, strict: bool = True) -> list[list[LabeledToken]]:
             current.append(LabeledToken(token=token, pos=pos, label=label))
         if current:
             sentences.append(current)
-    finally:
-        if own:
-            handle.close()
     return sentences
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.sparse import csr_array
 
 from .corpus import LABELS, LabeledToken, pos_tag
 from .errors import IobStructureError, ModelFormatError, TrainingError
@@ -248,6 +246,8 @@ def _encode_dataset(model: CrfModel, dataset: Sequence[Sequence[LabeledToken]]):
     Its rows run longest sequence first, so the sequences still running at
     any step are a prefix of the rows.
     """
+    from scipy.sparse import csr_array  # training only; tagging needs no scipy
+
     label_index = {lab: i for i, lab in enumerate(model.labels)}
     rows: list[np.ndarray] = []
     labels: list[int] = []
@@ -348,20 +348,17 @@ def nll_and_gradient(model: CrfModel, dataset: Sequence[Sequence[LabeledToken]])
 # ---------------------------------------------------------------------------
 
 def train(dataset: Sequence[Sequence[LabeledToken]], config: FeatureConfig,
-          *, max_iter: int = 200, gtol: float = 1e-5,
-          labels: tuple[str, ...] = LABELS,
-          iteration_log: list | None = None) -> CrfModel:
-    """Fit a CRF by L-BFGS from zero initialization.
+          *, max_iter: int = 200, iteration_log: list | None = None) -> CrfModel:
+    """Fit a CRF over ``LABELS`` by L-BFGS from zero initialization.
 
-    Deterministic given the dataset order and settings. Raises TrainingError
-    (naming the objective-evaluation count) if the objective goes non-finite.
+    Deterministic given the dataset order and settings. A label outside
+    ``LABELS`` raises ValueError naming it. Raises TrainingError (naming the
+    objective-evaluation count) if the objective goes non-finite.
     """
+    from scipy.optimize import minimize  # training only; tagging needs no scipy
+
     if not dataset:
         raise ValueError("training dataset is empty")
-    for seq in dataset:
-        for tok in seq:
-            if tok.label not in labels:
-                raise ValueError(f"label {tok.label!r} not in the closed label set")
 
     names: dict[str, None] = {}
     for seq in dataset:
@@ -372,9 +369,9 @@ def train(dataset: Sequence[Sequence[LabeledToken]], config: FeatureConfig,
                 names.setdefault(name)
     feature_names = tuple(names)
 
-    n_features, n_labels = len(feature_names), len(labels)
+    n_features, n_labels = len(feature_names), len(LABELS)
     model = CrfModel(
-        labels=tuple(labels),
+        labels=LABELS,
         feature_names=feature_names,
         weights=np.zeros(n_features * n_labels + n_labels ** 2),
         config=config,
@@ -401,7 +398,7 @@ def train(dataset: Sequence[Sequence[LabeledToken]], config: FeatureConfig,
 
     result = minimize(
         objective, model.weights, jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": gtol, "maxcor": 10},
+        options={"maxiter": max_iter, "gtol": 1e-5, "maxcor": 10},
         callback=callback,
     )
     model.weights[:] = result.x

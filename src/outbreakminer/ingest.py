@@ -19,8 +19,6 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable
 
-import requests
-
 from .errors import ArticleNotFoundError, PayloadError, TransportError
 
 logger = logging.getLogger(__name__)
@@ -145,6 +143,8 @@ def revision_from_record(record: dict) -> ArticleRevision | None:
 
 
 def _default_get_json(endpoint: str) -> Callable[[dict], dict]:
+    import requests  # loaded only when a fetch goes to the network
+
     session = requests.Session()
     session.headers["User-Agent"] = USER_AGENT
 
@@ -214,7 +214,8 @@ def fetch_revisions(query: RevisionQuery, cache: RevisionCache,
             try:
                 payload = get_json(page_params)
                 break
-            except (requests.RequestException, OSError, ValueError) as exc:
+            # requests' errors subclass OSError, its JSONDecodeError ValueError.
+            except (OSError, ValueError) as exc:
                 logger.warning("request failed (attempt %d/%d): %s",
                                attempt + 1, max_retries, exc)
                 if attempt + 1 == max_retries:

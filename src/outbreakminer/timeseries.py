@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 
+from .corpus import open_text
 from .errors import AlignmentError, GroundTruthError
 from .wikitext import RawTable
 
@@ -312,9 +313,7 @@ def load_ground_truth(source) -> GroundTruthSet:
     Duplicate (date, country, metric) keys, bad dates, unknown metrics and
     negative values are load errors naming the 1-based data row.
     """
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    handle = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
+    with open_text(source, "r", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -365,9 +364,6 @@ def load_ground_truth(source) -> GroundTruthSet:
                     row=row_no,
                 )
             series.points[when] = value
-    finally:
-        if own:
-            handle.close()
     truth.series = {key: interpolate_daily(s) for key, s in truth.series.items()}
     return truth
 

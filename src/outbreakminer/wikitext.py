@@ -197,9 +197,10 @@ def _split_protected(text: str, seps: tuple[str, ...]) -> list[str]:
     return parts
 
 
-_EXTERNAL_LINK = re.compile(r"\[(?:https?|ftp)://\S*(?:\s+([^\]]*))?\]")
+# Neither a URL nor a tag may span a NUL, so neither can swallow a shelved table.
+_EXTERNAL_LINK = re.compile(r"\[(?:https?|ftp)://[^\s\x00]*(?:\s+([^\]]*))?\]")
 _HEADING = re.compile(r"^[ \t]*=+[ \t]*(.*?)[ \t]*=+[ \t]*$", re.MULTILINE)
-_HTML_TAG = re.compile(r"</?[A-Za-z][^>\n]*>")
+_HTML_TAG = re.compile(r"</?[A-Za-z][^>\n\x00]*>")
 _LIST_MARKER = re.compile(r"^[*#:;]+\s*", re.MULTILINE)
 _TABLE_MARKER = re.compile(r"\x00T(\d+)\x00")
 
@@ -210,12 +211,14 @@ def strip_markup(wikitext: str, remove_tables: bool = True) -> str:
     Templates, refs (with contents), comments, heading/emphasis/list markers
     and link syntax are removed; piped and external links keep their display
     text. With ``remove_tables`` every ``{| ... |}`` block is dropped;
-    otherwise table blocks pass through verbatim. Total function: never
-    raises on malformed input.
+    otherwise table blocks pass through verbatim and NUL characters are
+    dropped. Total function: never raises on malformed input.
     """
     table_blocks: list[str] = []
     if not remove_tables:
-        # Shelve table blocks untouched so no other rule can alter them.
+        # Shelve table blocks untouched so no other rule can alter them. The
+        # input loses its NULs first, so it cannot forge a placeholder.
+        wikitext = wikitext.replace("\x00", "")
         spans = sorted((s, e) for s, e, d in _find_table_spans(wikitext) if d == 0)
         table_blocks = [wikitext[s:e] for s, e in spans]
         for idx in range(len(spans) - 1, -1, -1):

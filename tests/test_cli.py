@@ -352,6 +352,23 @@ class TestCacheDiscipline:
         assert json.loads(out.read_text())
 
 
+class TestImportGraph:
+    @pytest.mark.parametrize("module, heavy", [
+        ("outbreakminer.cli", []),
+        ("outbreakminer.ingest", []),
+        ("outbreakminer.crf", ["numpy"]),
+    ], ids=["cli", "ingest", "crf"])
+    def test_module_loads_only_what_it_runs(self, module, heavy):
+        # Only ner commands need numpy and scipy, only fetch needs requests,
+        # and tagging needs numpy but no scipy.
+        code = (f"import sys, {module}; "
+                "print(*sorted({'numpy', 'scipy', 'requests'} & sys.modules.keys()))")
+        env = dict(os.environ, PYTHONPATH=str(Path(outbreakminer.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == heavy
+
+
 class TestDeterminism:
     def test_fixture_pipeline_byte_identical(self, fixture_records, tmp_path,
                                              ground_truth_path):

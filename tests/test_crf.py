@@ -296,6 +296,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], FeatureConfig())
 
+    def test_unknown_label_rejected_by_name(self):
+        corpus = [[BareToken("cases", "NOUN", "O"), BareToken("rose", "VERB", "B-RECOVERIES")]]
+        with pytest.raises(ValueError, match="'B-RECOVERIES'"):
+            train(corpus, FeatureConfig(), max_iter=5)
+
     def test_objective_decreases_across_iterations(self):
         log: list = []
         train(toy_corpus(10), FeatureConfig(max_ngram_len=2, window=1),

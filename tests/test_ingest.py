@@ -2,6 +2,7 @@ import json
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,7 +74,9 @@ class TestFetchRevisions:
             fetch_revisions(quiet_query(), RevisionCache(tmp_path), get_json=get_json)
         assert err.value.fragment
 
-    def test_transport_error_names_continuation(self, api_pages, tmp_path):
+    @pytest.mark.parametrize("error", [OSError, requests.ConnectionError],
+                             ids=["OSError", "requests.ConnectionError"])
+    def test_transport_error_names_continuation(self, api_pages, tmp_path, error):
         first_page = api_pages[0]
 
         state = {"calls": 0}
@@ -82,7 +85,7 @@ class TestFetchRevisions:
             state["calls"] += 1
             if state["calls"] == 1:
                 return first_page
-            raise OSError("connection reset")
+            raise error("connection reset")
 
         with pytest.raises(TransportError) as err:
             fetch_revisions(quiet_query(), RevisionCache(tmp_path),

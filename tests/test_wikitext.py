@@ -28,6 +28,9 @@ STRIP_FIXTURES = [
 ]
 
 
+KEPT_TABLE = "{|\n! a\n|-\n| 1\n|}"
+
+
 class TestStripMarkup:
     def test_markup_free_input_is_fixed_point(self):
         assert strip_markup("plain prose.") == "plain prose."
@@ -65,6 +68,19 @@ class TestStripMarkup:
 
     def test_unclosed_link_dropped_to_end(self):
         assert strip_markup("see [[Ebola virus disease and more") == "see "
+
+    def test_kept_table_survives_nul_placeholder_lookalike(self):
+        text = f"a \x00T5\x00 {KEPT_TABLE}"
+        assert strip_markup(text, remove_tables=False) == f"a T5 {KEPT_TABLE}"
+
+    def test_kept_table_not_copied_by_forged_placeholder(self):
+        text = f"x \x00T0\x00 {KEPT_TABLE} y"
+        assert strip_markup(text, remove_tables=False) == f"x T0 {KEPT_TABLE} y"
+
+    @pytest.mark.parametrize("text", [f"<span {KEPT_TABLE}>x", f"[http://a{KEPT_TABLE}]"],
+                             ids=["tag", "url"])
+    def test_kept_table_not_swallowed_by_tag_or_url(self, text):
+        assert KEPT_TABLE in strip_markup(text, remove_tables=False)
 
     def test_idempotent_on_fixtures(self):
         for fixture in STRIP_FIXTURES:
@@ -182,7 +198,7 @@ MARKUP_TOKENS = [
     "[[", "]]", "{{", "}}", "{|", "|}", "|", "||", "!", "!!", "|-", "|+", "\n", " ",
     "colspan=3", 'colspan="100000"', "rowspan=70000", "rowspan=2", "<ref>", "</ref>",
     "<ref name=x/>", "'''", "''", "<!--", "-->", "File:", "== ", "* ",
-    "[http://example.org label]", "Date", "1,234", "=",
+    "[http://example.org label]", "Date", "1,234", "=", "<span ", ">", "\x00", "\x00T0\x00",
 ]
 
 
