@@ -346,7 +346,7 @@ def cmd_ner(args) -> int:
         rows = nereval.sweep_ngram(
             dataset, args.k, args.seed,
             ngram_values=range(args.from_cap, args.to_cap + 1),
-            max_iter=args.max_iter, n_jobs=args.jobs,
+            config=_feature_config(args), max_iter=args.max_iter, n_jobs=args.jobs,
         )
         if args.format == "csv":
             with _csv_writer(args.output) as writer:

@@ -1,15 +1,17 @@
 """Training-corpus construction and measurement.
 
-Pipeline pieces: LCS line diff between successive revisions, character
-trigram Jaccard dedup of near-duplicate sentences, a deterministic coarse
-POS tagger, IOB TSV reading/writing, and Cohen's kappa for annotator
-agreement.
+Pipeline pieces: LCS line diff between successive revisions, exact
+prefix-filtered character-trigram Jaccard dedup of near-duplicate
+sentences, a deterministic coarse POS tagger, IOB TSV reading/writing, and
+Cohen's kappa for annotator agreement.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import re
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -179,17 +181,22 @@ def char_trigrams(text: str) -> set[str]:
     return {lowered[i:i + 3] for i in range(len(lowered) - 2)}
 
 
+def _jaccard(set_a: set, set_b: set) -> float:
+    """Jaccard similarity of two sets; both empty -> 1.0, exactly one empty -> 0.0."""
+    if not set_a and not set_b:
+        return 1.0
+    if not set_a or not set_b:
+        return 0.0
+    inter = len(set_a & set_b)
+    return inter / (len(set_a) + len(set_b) - inter)
+
+
 def trigram_jaccard(a: str, b: str) -> float:
     """Jaccard similarity of the two texts' character-trigram sets.
 
     Both empty -> 1.0; exactly one empty -> 0.0.
     """
-    set_a, set_b = char_trigrams(a), char_trigrams(b)
-    if not set_a and not set_b:
-        return 1.0
-    if not set_a or not set_b:
-        return 0.0
-    return len(set_a & set_b) / len(set_a | set_b)
+    return _jaccard(char_trigrams(a), char_trigrams(b))
 
 
 def dedup_sentences(sentences: Sequence, threshold: float = 0.75,
@@ -198,26 +205,38 @@ def dedup_sentences(sentences: Sequence, threshold: float = 0.75,
 
     An item is retained iff its similarity to every already-retained item is
     <= threshold.
+
+    Exact prefix filtering (All-Pairs, Bayardo et al. 2007; PPJoin, Xiao et
+    al. 2008). Trigrams are ranked by how many items contain them, rarest
+    first. Two sets whose Jaccard exceeds t overlap in more than t*n of an
+    n-trigram set's trigrams, so their prefixes of n - floor(t*n) rarest
+    trigrams share one. Each prefix keeps one trigram more, so float
+    rounding of t*n cannot drop a true match, and an empty set's prefix is
+    the single key None, which meets exactly the retained empty sets. A new
+    item is compared only with the retained items whose prefix shares a key
+    with its own.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    items = list(sentences)
+    texts = [key(item) for item in items] if key is not None else items
+    frequency: Counter[str] = Counter()
+    for text in texts:
+        frequency.update(char_trigrams(text))
+    rank = {gram: r for r, gram in
+            enumerate(sorted(frequency, key=lambda g: (frequency[g], g)))}
     retained = []
     retained_sets: list[set[str]] = []
-    for item in sentences:
-        text = key(item) if key is not None else item
+    index: dict[str | None, list[int]] = defaultdict(list)
+    for item, text in zip(items, texts):
         grams = char_trigrams(text)
-        keep = True
-        for other in retained_sets:
-            if not grams and not other:
-                sim = 1.0
-            elif not grams or not other:
-                sim = 0.0
-            else:
-                sim = len(grams & other) / len(grams | other)
-            if sim > threshold:
-                keep = False
-                break
-        if keep:
+        n = len(grams)
+        ranked = sorted(grams, key=rank.__getitem__) or [None]
+        prefix = ranked[:n - math.floor(threshold * n) + 1]
+        candidates = {k for gram in prefix for k in index.get(gram, ())}
+        if all(_jaccard(grams, retained_sets[k]) <= threshold for k in candidates):
+            for gram in prefix:
+                index[gram].append(len(retained_sets))
             retained.append(item)
             retained_sets.append(grams)
     return retained

@@ -29,6 +29,10 @@ class PayloadError(OutbreakError):
         self.fragment = fragment
 
 
+class CacheError(OutbreakError):
+    """A cache file that is not readable JSON; the message names the file."""
+
+
 class CorpusFormatError(OutbreakError):
     """Bad token/label file; carries the 1-based offending line number."""
 

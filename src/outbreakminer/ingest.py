@@ -3,8 +3,10 @@
 Fetches follow rvcontinue tokens until the window is exhausted, write every
 raw API record to the cache before returning, and record the completed query
 in a per-article index so a warm cache answers with zero network requests.
-Cache writes go through atomic renames, so concurrent readers never see a
-partial file.
+Cache writes go through atomic renames of per-writer temp files, so
+concurrent readers never see a partial file and concurrent writers never
+share a temp file. A cache file that is not a JSON object raises CacheError
+naming the file.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import tempfile
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable
 
-from .errors import ArticleNotFoundError, PayloadError, TransportError
+from .errors import ArticleNotFoundError, CacheError, PayloadError, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -69,12 +72,29 @@ class RevisionCache:
         return self.root / urllib.parse.quote(title, safe="")
 
     def _atomic_write(self, path: Path, payload: dict) -> None:
+        text = json.dumps(payload, ensure_ascii=False, sort_keys=True)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(payload, ensure_ascii=False, sort_keys=True), encoding="utf-8"
-        )
-        os.replace(tmp, path)
+        # A temp file of its own per write, so concurrent writers of one path
+        # never share one; the *.json glob skips it.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+    @staticmethod
+    def _read(path: Path) -> dict:
+        """One cache file's JSON object; CacheError naming the file otherwise."""
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise CacheError(f"corrupt cache file {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise CacheError(f"corrupt cache file {path}: not a JSON object")
+        return data
 
     def put_record(self, title: str, record: dict) -> None:
         self._atomic_write(self.article_dir(title) / f"{record['revid']}.json", record)
@@ -83,13 +103,13 @@ class RevisionCache:
         path = self.article_dir(title) / f"{revision_id}.json"
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        return self._read(path)
 
     def load_index(self, title: str) -> dict:
         path = self.article_dir(title) / "index.json"
         if not path.exists():
             return {"article_title": title, "queries": {}}
-        return json.loads(path.read_text(encoding="utf-8"))
+        return self._read(path)
 
     def save_index(self, title: str, index: dict) -> None:
         self._atomic_write(self.article_dir(title) / "index.json", index)
@@ -103,7 +123,7 @@ class RevisionCache:
         for path in directory.glob("*.json"):
             if path.name == "index.json":
                 continue
-            records.append(json.loads(path.read_text(encoding="utf-8")))
+            records.append(self._read(path))
         records.sort(key=lambda r: (r.get("timestamp", ""), r.get("revid", 0)))
         return records
 

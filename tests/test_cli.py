@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -162,6 +163,14 @@ class TestRmseCommand:
         assert run("rmse", "--cache", str(tmp_path / "empty"),
                    "--title", "Nothing", "--truth", "whatever.csv") == 1
 
+    def test_corrupt_record_names_file(self, seeded_cache_dir, ground_truth_path, capsys):
+        record = RevisionCache(seeded_cache_dir).article_dir("Example outbreak") / "105.json"
+        record.write_bytes(record.read_bytes()[:40])
+        assert run("rmse", "--cache", str(seeded_cache_dir),
+                   "--title", "Example outbreak",
+                   "--truth", str(ground_truth_path)) == 1
+        assert f"corrupt cache file {record}" in capsys.readouterr().err
+
 
 class TestCorpusCommands:
     def test_build_writes_tsv(self, seeded_cache_dir, tmp_path):
@@ -247,6 +256,24 @@ class TestNerCommands:
         lines = sweep_path.read_text().splitlines()
         assert lines[0] == "max_ngram_len,precision,recall,f1"
         assert len(lines) == 3
+
+
+    def test_sweep_honours_feature_flags(self, tmp_path):
+        corpus_path = tmp_path / "train.tsv"
+        write_iob_tsv(generate_labeled_corpus(40, seed=3), corpus_path)
+        common = ["--corpus", str(corpus_path), "--k", "2", "--seed", "0",
+                  "--max-iter", "30", "--format", "csv"]
+        flags = ["--l2", "50", "--window", "0", "--no-pos", "--no-shape"]
+
+        def last_f1(*argv):
+            out = tmp_path / "out.csv"
+            assert run("ner", *argv, *common, "--out", str(out)) == 0
+            with open(out, newline="") as handle:
+                return list(csv.DictReader(handle))[-1]["f1"]
+
+        flagged = last_f1("sweep", "--from", "2", "--to", "2", *flags)
+        assert flagged == last_f1("eval", "--max-ngram", "2", *flags)
+        assert flagged != last_f1("sweep", "--from", "2", "--to", "2")
 
 
 class TestPlotData:

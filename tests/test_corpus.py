@@ -1,4 +1,5 @@
 import io
+import operator
 import string
 from datetime import datetime, timezone
 
@@ -97,6 +98,14 @@ class TestTrigramJaccard:
         assert trigram_jaccard(a, a) == 1.0
 
 
+DEDUP_SENTENCE = st.lists(
+    st.sampled_from(["cases", "deaths", "new", "the", "in", "Guinea", "were",
+                     "reported", "12", "1,200", "a", "of"]),
+    min_size=1, max_size=20,
+).map(" ".join)
+DEDUP_SUFFIXES = ["", "s", "!", " new", " 12 deaths"]
+
+
 class TestDedup:
     def test_near_duplicate_dropped_at_default_threshold(self):
         # J(abcdef, abcdef!) = 4/5 = 0.8 > 0.75 -> second dropped.
@@ -127,6 +136,30 @@ class TestDedup:
             dropped.remove(kept)
         for item in dropped:
             assert any(trigram_jaccard(item, kept) > threshold for kept in retained)
+
+    @given(st.data(), st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.7, 0.75, 1.0]),
+                                st.floats(0.0, 1.0)),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_greedy_reference(self, data, threshold, keyed):
+        # Word-built sentences give long prefixes, strings under 3 characters
+        # give empty trigram sets, and suffixed copies give near-duplicates.
+        bases = data.draw(st.lists(st.one_of(DEDUP_SENTENCE, st.text("aB ", max_size=2)),
+                                   min_size=1, max_size=6))
+        texts = data.draw(st.lists(
+            st.builds(operator.add, st.sampled_from(bases), st.sampled_from(DEDUP_SUFFIXES)),
+            max_size=25))
+        expected = []
+        for i, text in enumerate(texts):
+            if all(trigram_jaccard(text, texts[k]) <= threshold for k in expected):
+                expected.append(i)
+        if keyed:
+            items = list(enumerate(texts))
+            got = [i for i, _ in dedup_sentences(items, threshold, key=operator.itemgetter(1))]
+        else:
+            got = dedup_sentences(texts, threshold)
+            expected = [texts[i] for i in expected]
+        assert got == expected
 
 
 class TestPosTag:

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import sys
+import threading
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -6,7 +10,12 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outbreakminer.errors import ArticleNotFoundError, PayloadError, TransportError
+from outbreakminer.errors import (
+    ArticleNotFoundError,
+    CacheError,
+    PayloadError,
+    TransportError,
+)
 from outbreakminer.ingest import (
     ArticleRevision,
     RevisionCache,
@@ -208,3 +217,74 @@ class TestCacheLayout:
                 params.get("rvcontinue"))]
 
         fetch_revisions(quiet_query(), cache, get_json=get_json)
+
+
+class TestCacheFiles:
+    @pytest.mark.parametrize("name, read", [
+        ("901.json", lambda cache: cache.get_record("Example outbreak", 901)),
+        ("901.json", lambda cache: cache.load_all_records("Example outbreak")),
+        ("index.json", lambda cache: cache.load_index("Example outbreak")),
+    ], ids=["get_record", "load_all_records", "load_index"])
+    @pytest.mark.parametrize("damage", ["truncate", "not_object", "not_utf8"])
+    def test_corrupt_file_is_cache_error_naming_it(self, api_pages, tmp_path,
+                                                   name, read, damage):
+        get_json, _ = replay(api_pages)
+        cache = RevisionCache(tmp_path)
+        fetch_revisions(quiet_query(), cache, get_json=get_json)
+        path = cache.article_dir("Example outbreak") / name
+        body = path.read_bytes()
+        path.write_bytes({"truncate": body[:len(body) // 2], "not_object": b"[1, 2]",
+                          "not_utf8": b'{"revid": "\xff"}'}[damage])
+        with pytest.raises(CacheError, match=re.escape(str(path))):
+            read(cache)
+
+    def test_interleaved_writers_each_leave_a_complete_file(self, monkeypatch, tmp_path):
+        cache = RevisionCache(tmp_path)
+        first = {"revid": 7, "comment": "first writer"}
+        second = {"revid": 7, "comment": "second writer"}
+        path = cache.article_dir("X") / "7.json"
+        seen = []
+        real_replace = os.replace
+
+        def replace_after_second_writer(src, dst):
+            # The first writer's rename waits until a second writer of the
+            # same revision has written and renamed its own file.
+            if not seen:
+                seen.append(None)
+                cache.put_record("X", second)
+                seen.append(json.loads(path.read_text(encoding="utf-8")))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_second_writer)
+        cache.put_record("X", first)
+        assert seen[1] == second
+        assert json.loads(path.read_text(encoding="utf-8")) == first
+        assert [p.name for p in path.parent.iterdir()] == ["7.json"]
+
+    def test_concurrent_writers_stress(self, tmp_path):
+        cache = RevisionCache(tmp_path)
+        path = cache.article_dir("X") / "7.json"
+        records = [{"revid": 7, "writer": w, "text": "x" * 4096} for w in range(8)]
+        errors = []
+
+        def write(record):
+            try:
+                for _ in range(25):
+                    cache.put_record("X", record)
+                    assert json.loads(path.read_text(encoding="utf-8")) in records
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(r,)) for r in records]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [p.name for p in path.parent.iterdir()] == ["7.json"]
