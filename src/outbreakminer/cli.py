@@ -185,16 +185,16 @@ def _dump_revision_series(sets: list[ts_mod.RevisionSeries], destination: str | 
     _write_json([ts_mod.revision_series_to_dict(rev) for rev in sets], destination)
 
 
-def _tables_extract(args) -> int:
-    cache = RevisionCache(_resolve_cache_dir(args))
-    revisions = load_cached_revisions(cache, args.title)
+def _cached_revisions(args) -> list:
+    """The article's cached revisions; none cached is a domain error."""
+    revisions = load_cached_revisions(RevisionCache(_resolve_cache_dir(args)), args.title)
     if not revisions:
-        raise OutbreakError(
-            f"no cached revisions for {args.title!r}; run fetch first"
-        )
-    sets = ts_mod.extract_revision_series(
-        revisions, interpolate=False
-    )
+        raise OutbreakError(f"no cached revisions for {args.title!r}; run fetch first")
+    return revisions
+
+
+def _tables_extract(args) -> int:
+    sets = ts_mod.extract_revision_series(_cached_revisions(args), interpolate=False)
     _dump_revision_series(sets, args.output)
     print(f"extracted series from {len(sets)} revisions", file=sys.stderr)
     return 0
@@ -239,11 +239,7 @@ def _tables_rmse(args) -> int:
 
 
 def cmd_rmse(args) -> int:
-    cache = RevisionCache(_resolve_cache_dir(args))
-    revisions = load_cached_revisions(cache, args.title)
-    if not revisions:
-        raise OutbreakError(f"no cached revisions for {args.title!r}; run fetch first")
-    sets = ts_mod.extract_revision_series(revisions)
+    sets = ts_mod.extract_revision_series(_cached_revisions(args))
     unique = _score_rmse(sets, args)
     print(f"{len(sets)} revisions with tables, {unique} unique series sets", file=sys.stderr)
     return 0
@@ -251,11 +247,7 @@ def cmd_rmse(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.corpus_cmd == "build":
-        cache = RevisionCache(_resolve_cache_dir(args))
-        revisions = load_cached_revisions(cache, args.title)
-        if not revisions:
-            raise OutbreakError(f"no cached revisions for {args.title!r}; run fetch first")
-        sentences = corpus_mod.build_corpus(revisions, threshold=args.threshold)
+        sentences = corpus_mod.build_corpus(_cached_revisions(args), threshold=args.threshold)
         corpus_mod.write_iob_tsv(sentences, args.output)
         print(f"wrote {len(sentences)} sentences", file=sys.stderr)
         return 0
@@ -362,7 +354,17 @@ def cmd_ner(args) -> int:
 
 def cmd_report(args) -> int:
     payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    emit_plot_data(payload, args.output)
+    if not isinstance(payload, dict):
+        raise OutbreakError(f"{args.input}: a report must be a JSON object with a \"kind\"")
+    try:
+        emit_plot_data(payload, args.output)
+    except ValueError as exc:  # an unknown kind
+        raise OutbreakError(f"{args.input}: {exc}") from None
+    except (LookupError, TypeError) as exc:
+        raise OutbreakError(
+            f"{args.input}: {payload.get('kind')!r} report has a missing or mistyped "
+            f"field ({type(exc).__name__}: {exc})"
+        ) from None
     return 0
 
 

@@ -96,11 +96,10 @@ class CrfModel:
 
 @dataclass(frozen=True)
 class TagResult:
-    """Viterbi output: per-token labels, IOB spans, sequence log-probability."""
+    """Viterbi output: per-token labels, IOB spans, best path's raw score."""
 
     labels: list[str]
     spans: list[tuple[str, int, int]]
-    score: float
     path_score: float
 
 
@@ -169,9 +168,16 @@ def _encode_positions(feature_index: dict[str, int], config: FeatureConfig,
     return rows
 
 
-def _emission_matrix(emission_w: np.ndarray, rows_per_pos: list[np.ndarray],
-                     n_labels: int) -> np.ndarray:
-    emis = np.zeros((len(rows_per_pos), n_labels))
+def _emissions(model: CrfModel, tokens: Sequence[str],
+               pos: Sequence[str] | None) -> np.ndarray:
+    """One sentence's (positions x labels) scores; ``pos`` defaults to pos_tag."""
+    if not tokens:
+        raise ValueError("sequence must be non-empty")
+    if pos is None:
+        pos = pos_tag(tokens)
+    rows_per_pos = _encode_positions(model.feature_index, model.config, tokens, pos)
+    emission_w = model.emission_weights
+    emis = np.zeros((len(rows_per_pos), model.n_labels))
     for t, rows in enumerate(rows_per_pos):
         if rows.size:
             emis[t] = emission_w[rows].sum(axis=0)
@@ -188,19 +194,21 @@ def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _forward(emis: np.ndarray, trans: np.ndarray):
-    """Log-space forward scores and the log partition."""
+def log_forward_backward(model: CrfModel, tokens: Sequence[str],
+                         pos: Sequence[str] | None = None):
+    """Log partition plus per-position and per-edge label marginals.
+
+    Exact, all in log space. Each unary row sums to 1; each pairwise table
+    sums to 1 and marginalizes back to the unaries.
+    """
+    emis = _emissions(model, tokens, pos)
+    trans = model.transition_weights
+    n, n_labels = emis.shape
     alpha = np.empty(emis.shape)
     alpha[0] = emis[0]
-    for t in range(1, len(emis)):
+    for t in range(1, n):
         alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emis[t]
-    return alpha, float(_logsumexp(alpha[-1], axis=0))
-
-
-def _forward_backward(emis: np.ndarray, trans: np.ndarray):
-    """Exact marginals from emission scores; all work in log space."""
-    n, n_labels = emis.shape
-    alpha, log_z = _forward(emis, trans)
+    log_z = float(_logsumexp(alpha[-1], axis=0))
 
     beta = np.zeros((n, n_labels))
     for t in range(n - 2, -1, -1):
@@ -215,22 +223,6 @@ def _forward_backward(emis: np.ndarray, trans: np.ndarray):
         table = np.exp(scores - log_z)
         pairwise[t] = table / table.sum()
     return log_z, unary, pairwise
-
-
-def log_forward_backward(model: CrfModel, tokens: Sequence[str],
-                         pos: Sequence[str] | None = None):
-    """Log partition plus per-position and per-edge label marginals.
-
-    Each unary row sums to 1; each pairwise table sums to 1 and marginalizes
-    back to the unaries.
-    """
-    if not tokens:
-        raise ValueError("sequence must be non-empty")
-    if pos is None:
-        pos = pos_tag(tokens)
-    rows = _encode_positions(model.feature_index, model.config, tokens, pos)
-    emis = _emission_matrix(model.emission_weights, rows, model.n_labels)
-    return _forward_backward(emis, model.transition_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +421,7 @@ def viterbi(model: CrfModel, tokens: Sequence[str],
     transitions into I-X from anything other than B-X/I-X are forbidden,
     as is I-X at the start.
     """
-    if not tokens:
-        raise ValueError("sequence must be non-empty")
-    if pos is None:
-        pos = pos_tag(tokens)
-    rows = _encode_positions(model.feature_index, model.config, tokens, pos)
-    emis = _emission_matrix(model.emission_weights, rows, model.n_labels)
+    emis = _emissions(model, tokens, pos)
     trans = model.transition_weights.copy()
     start = emis[0].copy()
     if constrain_iob:
@@ -461,14 +448,7 @@ def viterbi(model: CrfModel, tokens: Sequence[str],
         path.append(int(backptr[t, path[-1]]))
     path.reverse()
     labels = [model.labels[i] for i in path]
-
-    _, log_z = _forward(emis, model.transition_weights)
-    return TagResult(
-        labels=labels,
-        spans=spans_from_iob(labels, strict=False),
-        score=path_score - log_z,
-        path_score=path_score,
-    )
+    return TagResult(labels, spans_from_iob(labels, strict=False), path_score)
 
 
 def spans_from_iob(labels: Sequence[str], strict: bool = False) -> list[tuple[str, int, int]]:
@@ -538,6 +518,16 @@ def save_model(model: CrfModel, destination) -> None:
                 handle.write(f"TRANS\t{src}\t{dst}\t{float(trans[i, j])!r}\n")
 
 
+def _parse_weight(value: str, line_no: int) -> float:
+    try:
+        weight = float(value)
+    except ValueError:
+        raise ModelFormatError(f"line {line_no}: bad weight {value!r}") from None
+    if not math.isfinite(weight):
+        raise ModelFormatError(f"line {line_no}: non-finite weight")
+    return weight
+
+
 def load_model(source) -> CrfModel:
     """Inverse of save_model; load(save(m)) reproduces m exactly."""
     with open(source, "r", encoding="utf-8") as handle:
@@ -557,8 +547,8 @@ def load_model(source) -> CrfModel:
         raise ModelFormatError("empty label list")
     if not lines[2].startswith("config\t"):
         raise ModelFormatError("missing config line")
-    raw_cfg = dict(item.split("=", 1) for item in lines[2].split("\t")[1:])
     try:
+        raw_cfg = dict(item.split("=", 1) for item in lines[2].split("\t")[1:])
         config = FeatureConfig(
             max_ngram_len=int(raw_cfg["max_ngram_len"]),
             window=int(raw_cfg["window"]),
@@ -581,35 +571,25 @@ def load_model(source) -> CrfModel:
             _, src, dst, value = fields
             if src not in label_index or dst not in label_index:
                 raise ModelFormatError(f"line {line_no}: unknown label in TRANS entry")
-            weight = float(value)
-            if not math.isfinite(weight):
-                raise ModelFormatError(f"line {line_no}: non-finite weight")
+            weight = _parse_weight(value, line_no)
             trans_entries.append((label_index[src], label_index[dst], weight))
         elif len(fields) == 3:
             name, label, value = fields
             if label not in label_index:
                 raise ModelFormatError(f"line {line_no}: unknown label {label!r}")
-            weight = float(value)
-            if not math.isfinite(weight):
-                raise ModelFormatError(f"line {line_no}: non-finite weight")
+            weight = _parse_weight(value, line_no)
             if name not in feature_order:
                 feature_order[name] = len(feature_order)
             emission_entries.append((feature_order[name], label_index[label], weight))
         else:
             raise ModelFormatError(f"line {line_no}: unparseable entry {line!r}")
 
-    n_features, n_labels = len(feature_order), len(labels)
-    weights = np.zeros(n_features * n_labels + n_labels ** 2)
-    emission_w = weights[: n_features * n_labels].reshape(n_features, n_labels)
-    trans = weights[n_features * n_labels:].reshape(n_labels, n_labels)
+    n_labels = len(labels)
+    model = CrfModel(labels, tuple(feature_order),
+                     np.zeros(len(feature_order) * n_labels + n_labels ** 2), config)
+    emission_w, trans = model.emission_weights, model.transition_weights
     for f, l, w in emission_entries:
         emission_w[f, l] = w
     for i, j, w in trans_entries:
         trans[i, j] = w
-    return CrfModel(
-        labels=labels,
-        feature_names=tuple(feature_order),
-        weights=weights,
-        config=config,
-    )
-
+    return model

@@ -10,8 +10,9 @@ from __future__ import annotations
 import logging
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import asdict, dataclass, replace
+from functools import partial, reduce
+from operator import add
 from typing import Iterable, Sequence
 
 from .corpus import LABELS, LabeledToken
@@ -19,6 +20,8 @@ from .crf import FeatureConfig, train, viterbi
 from .errors import TrainingError
 
 logger = logging.getLogger(__name__)
+
+ENTITY_LABELS = tuple(label for label in LABELS if label != "O")
 
 
 @dataclass(frozen=True)
@@ -54,13 +57,7 @@ class MetricsReport:
         return {
             "kind": "metrics_report",
             "folds": self.folds,
-            "config": {
-                "max_ngram_len": self.config.max_ngram_len,
-                "window": self.config.window,
-                "use_pos": self.config.use_pos,
-                "use_shape": self.config.use_shape,
-                "l2_lambda": self.config.l2_lambda,
-            },
+            "config": asdict(self.config),
             "aggregate": {
                 "precision": self.aggregate[0],
                 "recall": self.aggregate[1],
@@ -143,7 +140,7 @@ def k_fold_split(corpus: Sequence, k: int, seed: int) -> list[list]:
     return folds
 
 
-def _fold_counts(payload) -> dict[str, tuple[int, int, int, int]]:
+def _fold_counts(payload) -> dict[str, ConfusionCounts]:
     """Train on one fold's complement and score its held-out sentences."""
     train_set, test_set, config, max_iter = payload
     model = train(train_set, config, max_iter=max_iter)
@@ -153,8 +150,7 @@ def _fold_counts(payload) -> dict[str, tuple[int, int, int, int]]:
         tokens = [tok.token for tok in sent]
         pos = [tok.pos for tok in sent]
         predicted.append(viterbi(model, tokens, pos).labels)
-    counts = score_labels(gold, predicted, labels=[l for l in LABELS if l != "O"])
-    return {label: (c.tp, c.fp, c.fn, c.tn) for label, c in counts.items()}
+    return score_labels(gold, predicted, labels=ENTITY_LABELS)
 
 
 def _in_fold(index: int, compute):
@@ -187,34 +183,24 @@ def cross_validate(corpus: Sequence[Sequence[LabeledToken]], config: FeatureConf
         fold_results = [_in_fold(i, partial(_fold_counts, payload))
                         for i, payload in enumerate(payloads)]
 
-    score_labels_list = [l for l in LABELS if l != "O"]
-    per_label_acc = {label: [0.0, 0.0, 0.0, 0] for label in score_labels_list}
-    agg_acc = [0.0, 0.0, 0.0]
-    for result in fold_results:
-        agg_tp = agg_fp = agg_fn = 0
-        for label in score_labels_list:
-            tp, fp, fn, tn = result[label]
-            p, r, f1 = precision_recall_f1(ConfusionCounts(tp, fp, fn, tn))
-            acc = per_label_acc[label]
-            acc[0] += p
-            acc[1] += r
-            acc[2] += f1
-            acc[3] += tp + fn
-            agg_tp += tp
-            agg_fp += fp
-            agg_fn += fn
-        p, r, f1 = precision_recall_f1(ConfusionCounts(agg_tp, agg_fp, agg_fn, 0))
-        agg_acc[0] += p
-        agg_acc[1] += r
-        agg_acc[2] += f1
+    def mean(values) -> float:
+        # A plain running sum in fold order (sum() compensates from Python 3.12).
+        return reduce(add, values, 0.0) / k
 
-    per_label = {
-        label: LabelMetrics(
-            precision=acc[0] / k, recall=acc[1] / k, f1=acc[2] / k, support=acc[3]
-        )
-        for label, acc in per_label_acc.items()
-    }
-    aggregate = (agg_acc[0] / k, agg_acc[1] / k, agg_acc[2] / k)
+    per_label = {}
+    for label in ENTITY_LABELS:
+        p, r, f1 = zip(*(precision_recall_f1(counts[label]) for counts in fold_results))
+        support = sum(counts[label].support for counts in fold_results)
+        per_label[label] = LabelMetrics(mean(p), mean(r), mean(f1), support)
+    p, r, f1 = zip(*(
+        precision_recall_f1(ConfusionCounts(
+            tp=sum(c.tp for c in counts.values()),
+            fp=sum(c.fp for c in counts.values()),
+            fn=sum(c.fn for c in counts.values()),
+        ))
+        for counts in fold_results
+    ))
+    aggregate = (mean(p), mean(r), mean(f1))
     return MetricsReport(per_label=per_label, aggregate=aggregate, folds=k, config=config)
 
 

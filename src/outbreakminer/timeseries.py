@@ -380,7 +380,10 @@ def import_rivers_ground_truth(source, destination) -> int:
     """
     with open(source, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise GroundTruthError(f"{source}: CSV is empty (missing header)") from None
         columns: list[tuple[int, str, str]] = []
         date_idx = None
         for idx, name in enumerate(header):
@@ -405,7 +408,7 @@ def import_rivers_ground_truth(source, destination) -> int:
         for row in reader:
             if not row:
                 continue
-            raw_date = row[date_idx].strip()
+            raw_date = row[date_idx].strip() if date_idx < len(row) else ""
             when = None
             for fmt in ("%m/%d/%Y", "%Y-%m-%d"):
                 try:

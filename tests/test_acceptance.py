@@ -123,10 +123,8 @@ def test_criterion_2_inference_oracles():
     for _ in range(500):
         model, tokens = small_random_instance(pyrng, rng)
         n = len(tokens)
-        from outbreakminer.crf import _emission_matrix, _encode_positions
-        rows = _encode_positions(model.feature_index, model.config, tokens,
-                                 ["OTHER"] * n)
-        emis = _emission_matrix(model.emission_weights, rows, model.n_labels)
+        from outbreakminer.crf import _emissions
+        emis = _emissions(model, tokens, ["OTHER"] * n)
         trans = model.transition_weights
         paths = np.array(list(itertools.product(range(model.n_labels), repeat=n)))
         scores = emis[np.arange(n), paths].sum(axis=1)

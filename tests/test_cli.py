@@ -142,6 +142,22 @@ class TestTables:
                    "--out", str(out)) == 0
         assert out.read_text().startswith("date,country,metric,value\n")
 
+    def test_import_truth_empty_file_is_domain_error(self, tmp_path, capsys):
+        src = tmp_path / "empty.csv"
+        src.write_text("")
+        assert run("tables", "import-truth", "--in", str(src),
+                   "--out", str(tmp_path / "out.csv")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_import_truth_skips_row_without_date(self, tmp_path):
+        src = tmp_path / "wide.csv"
+        src.write_text("Day,Date,Cases_Guinea\n1,3/22/2014,49\n5\n9,3/30/2014,112\n")
+        out = tmp_path / "out.csv"
+        assert run("tables", "import-truth", "--in", str(src), "--out", str(out)) == 0
+        assert out.read_text() == ("date,country,metric,value\n"
+                                   "2014-03-22,Guinea,cases,49\n"
+                                   "2014-03-30,Guinea,cases,112\n")
+
 
 class TestRmseCommand:
     def test_end_to_end(self, seeded_cache_dir, tmp_path, ground_truth_path):
@@ -354,6 +370,17 @@ class TestReportCommand:
         dst = tmp_path / "plot.csv"
         assert run("report", "--in", str(src), "--out", str(dst)) == 0
         assert dst.read_text() == "x,series,value\n"
+
+    @pytest.mark.parametrize("payload", [
+        [], 3, {"kind": "rmse_report"}, {"kind": "nope"},
+    ])
+    def test_malformed_report_is_domain_error(self, tmp_path, capsys, payload):
+        src = tmp_path / "report.json"
+        src.write_text(json.dumps(payload))
+        assert run("report", "--in", str(src), "--out", str(tmp_path / "plot.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(src) in err
+        assert "Traceback" not in err
 
 
 class TestCacheDiscipline:

@@ -65,11 +65,9 @@ def random_instance(pyrng, rng, max_labels=5, max_len=6, window=1):
 
 def brute_force_scores(model, tokens):
     """Score of every label path by direct enumeration."""
-    from outbreakminer.crf import _emission_matrix, _encode_positions
+    from outbreakminer.crf import _emissions
 
-    pos = ["OTHER"] * len(tokens)
-    rows = _encode_positions(model.feature_index, model.config, tokens, pos)
-    emis = _emission_matrix(model.emission_weights, rows, model.n_labels)
+    emis = _emissions(model, tokens, ["OTHER"] * len(tokens))
     trans = model.transition_weights
     n = len(tokens)
     paths = np.array(list(itertools.product(range(model.n_labels), repeat=n)))
@@ -209,7 +207,7 @@ class TestObjective:
     def test_mixed_length_batch_matches_per_sequence_oracle(self, weight_scale):
         # Sequences of lengths 1-8 in one batch exercise the padding and
         # the longest-first step index.
-        from outbreakminer.crf import _emission_matrix, _encode_positions
+        from outbreakminer.crf import _emissions
 
         pyrng = random.Random(17)
         rng = np.random.default_rng(17)
@@ -233,9 +231,7 @@ class TestObjective:
             tokens = [tok.token for tok in seq]
             y = [labels.index(tok.label) for tok in seq]
             log_z, _, _ = log_forward_backward(model, tokens, ["OTHER"] * len(tokens))
-            rows = _encode_positions(model.feature_index, cfg, tokens,
-                                     ["OTHER"] * len(tokens))
-            emis = _emission_matrix(model.emission_weights, rows, len(labels))
+            emis = _emissions(model, tokens, ["OTHER"] * len(tokens))
             gold = emis[np.arange(len(y)), y].sum()
             gold += sum(model.transition_weights[a, b] for a, b in zip(y, y[1:]))
             expected += log_z - gold
@@ -325,7 +321,6 @@ class TestViterbi:
         assert result.labels == ["B-DEATHS"]
         assert result.path_score == pytest.approx(1.5)
         assert result.spans == [("DEATHS", 0, 0)]
-        assert result.score <= 0.0  # log-probability
 
     def test_matches_brute_force(self):
         pyrng = random.Random(3)
@@ -427,6 +422,22 @@ class TestModelIo:
         )
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("config_line, weight_line, message", [
+        ("config\tmax_ngram_len=1\twindow\tuse_pos=0\tuse_shape=0\tl2_lambda=0.0",
+         "w[0]=x\tO\t1.0", "bad config line: "),
+        ("config\tmax_ngram_len=1\twindow=0\tuse_pos=0\tuse_shape=0\tl2_lambda=0.0",
+         "w[0]=x\tO\tabc", "line 4: bad weight 'abc'"),
+        ("config\tmax_ngram_len=1\twindow=0\tuse_pos=0\tuse_shape=0\tl2_lambda=0.0",
+         "TRANS\tO\tO\tabc", "line 4: bad weight 'abc'"),
+    ], ids=["config-item-without-equals", "emission-weight", "transition-weight"])
+    def test_malformed_config_or_weight_named(self, tmp_path, config_line,
+                                              weight_line, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"crf-model\t1\nlabels\tO\n{config_line}\n{weight_line}\n")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(path)
+        assert str(err.value).startswith(message)
 
     def test_hand_written_model_tags_as_computed(self, tmp_path):
         # Two features; "w[0]=died" pushes B-DEATHS by +2, everything else 0.
