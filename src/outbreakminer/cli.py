@@ -383,6 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel workers for fold training (default sequential)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Option groups shared by several subcommands.
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument("--cache")
+    cached.add_argument("--title", required=True)
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--truth", required=True)
+    scoring.add_argument("--from", dest="start_from")
+    scoring.add_argument("--out", dest="output")
+    scoring.add_argument("--summary")
+    scoring.add_argument("--out-json")
+
     p = sub.add_parser("fetch", help="download an article's revision history into the cache")
     p.add_argument("--title", required=True)
     p.add_argument("--start")
@@ -402,20 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input")
     p.add_argument("--out", dest="output")
     tsub = p.add_subparsers(dest="tables_cmd")
-    q = tsub.add_parser("extract", help="per-revision series from cached revisions")
-    q.add_argument("--cache")
-    q.add_argument("--title", required=True)
+    q = tsub.add_parser("extract", help="per-revision series from cached revisions",
+                        parents=[cached])
     q.add_argument("--out", dest="output")
     q = tsub.add_parser("interpolate", help="fill series to daily granularity")
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--out", dest="output")
-    q = tsub.add_parser("rmse", help="score extracted series against ground truth")
+    q = tsub.add_parser("rmse", help="score extracted series against ground truth",
+                        parents=[scoring])
     q.add_argument("--in", dest="input", required=True)
-    q.add_argument("--truth", required=True)
-    q.add_argument("--from", dest="start_from")
-    q.add_argument("--out", dest="output")
-    q.add_argument("--summary")
-    q.add_argument("--out-json")
     q = tsub.add_parser("import-truth", help="normalize a Rivers-style wide CSV")
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--out", dest="output", required=True)
@@ -423,9 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="build a training corpus or measure agreement")
     csub = p.add_subparsers(dest="corpus_cmd")
-    q = csub.add_parser("build", help="diff cached revisions into an IOB TSV corpus")
-    q.add_argument("--cache")
-    q.add_argument("--title", required=True)
+    q = csub.add_parser("build", help="diff cached revisions into an IOB TSV corpus",
+                        parents=[cached])
     q.add_argument("--threshold", type=float, default=0.75)
     q.add_argument("--out", dest="output", required=True)
     q = csub.add_parser("kappa", help="Cohen's kappa between two annotation files")
@@ -472,14 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_feature_flags(q)
     p.set_defaults(handler=cmd_ner, ner_cmd=None)
 
-    p = sub.add_parser("rmse", help="full table pipeline: cache -> RMSE report")
-    p.add_argument("--cache")
-    p.add_argument("--title", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--from", dest="start_from")
-    p.add_argument("--out", dest="output")
-    p.add_argument("--summary")
-    p.add_argument("--out-json")
+    p = sub.add_parser("rmse", help="full table pipeline: cache -> RMSE report",
+                       parents=[cached, scoring])
     p.set_defaults(handler=cmd_rmse)
 
     p = sub.add_parser("report", help="convert a report JSON into tidy plot CSV")

@@ -545,6 +545,9 @@ def load_model(source) -> CrfModel:
     labels = tuple(lines[1].split("\t")[1:])
     if not labels:
         raise ModelFormatError("empty label list")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ModelFormatError(f"repeated label {label!r}")
     if not lines[2].startswith("config\t"):
         raise ModelFormatError("missing config line")
     try:
@@ -560,9 +563,11 @@ def load_model(source) -> CrfModel:
         raise ModelFormatError(f"bad config line: {exc}") from exc
 
     label_index = {lab: i for i, lab in enumerate(labels)}
+    n_labels = len(labels)
     feature_order: dict[str, int] = {}
-    emission_entries: list[tuple[int, int, float]] = []
-    trans_entries: list[tuple[int, int, float]] = []
+    # Weights keyed by flat (row-major) index into their weight matrix.
+    emission_entries: dict[int, float] = {}
+    trans_entries: dict[int, float] = {}
     for line_no, line in enumerate(lines[3:], start=4):
         if not line:
             continue
@@ -571,25 +576,28 @@ def load_model(source) -> CrfModel:
             _, src, dst, value = fields
             if src not in label_index or dst not in label_index:
                 raise ModelFormatError(f"line {line_no}: unknown label in TRANS entry")
-            weight = _parse_weight(value, line_no)
-            trans_entries.append((label_index[src], label_index[dst], weight))
+            key = label_index[src] * n_labels + label_index[dst]
+            if key in trans_entries:
+                raise ModelFormatError(f"line {line_no}: repeated TRANS entry {src!r} {dst!r}")
+            trans_entries[key] = _parse_weight(value, line_no)
         elif len(fields) == 3:
             name, label, value = fields
             if label not in label_index:
                 raise ModelFormatError(f"line {line_no}: unknown label {label!r}")
-            weight = _parse_weight(value, line_no)
             if name not in feature_order:
                 feature_order[name] = len(feature_order)
-            emission_entries.append((feature_order[name], label_index[label], weight))
+            key = feature_order[name] * n_labels + label_index[label]
+            if key in emission_entries:
+                raise ModelFormatError(f"line {line_no}: repeated entry {name!r} {label!r}")
+            emission_entries[key] = _parse_weight(value, line_no)
         else:
             raise ModelFormatError(f"line {line_no}: unparseable entry {line!r}")
 
-    n_labels = len(labels)
     model = CrfModel(labels, tuple(feature_order),
                      np.zeros(len(feature_order) * n_labels + n_labels ** 2), config)
-    emission_w, trans = model.emission_weights, model.transition_weights
-    for f, l, w in emission_entries:
-        emission_w[f, l] = w
-    for i, j, w in trans_entries:
-        trans[i, j] = w
+    emission_w, trans = model.emission_weights.flat, model.transition_weights.flat
+    for key, w in emission_entries.items():
+        emission_w[key] = w
+    for key, w in trans_entries.items():
+        trans[key] = w
     return model

@@ -310,8 +310,9 @@ def dedup_series(per_revision: list[RevisionSeries]) -> list[RevisionSeries]:
 def load_ground_truth(source) -> GroundTruthSet:
     """Canonical CSV (date,country,metric,value) into an interpolated truth set.
 
-    Duplicate (date, country, metric) keys, bad dates, unknown metrics and
-    negative values are load errors naming the 1-based data row.
+    Duplicate (date, country, metric) keys, bad dates, unknown metrics,
+    non-finite and negative values are load errors naming the 1-based data
+    row.
     """
     with open_text(source, "r", newline="") as handle:
         reader = csv.reader(handle)
@@ -350,6 +351,10 @@ def load_ground_truth(source) -> GroundTruthSet:
                 raise GroundTruthError(
                     f"row {row_no}: bad value {raw_value!r}", row=row_no
                 ) from None
+            if not math.isfinite(value):
+                raise GroundTruthError(
+                    f"row {row_no}: non-finite value {raw_value!r}", row=row_no
+                )
             if value < 0:
                 raise GroundTruthError(
                     f"row {row_no}: negative value {value}", row=row_no
@@ -426,6 +431,9 @@ def import_rivers_ground_truth(source, destination) -> int:
                 try:
                     value = float(cell)
                 except ValueError:
+                    value = math.nan
+                # nan, inf and negative counts would not load as ground truth.
+                if not 0 <= value < math.inf:
                     logger.warning("skipping unparseable value %r (%s)", cell, country)
                     continue
                 key = (when, country, metric)

@@ -3,8 +3,8 @@
 This handles the small markup subset the pipeline needs (templates, links,
 refs, comments, tables, emphasis, headings), not general MediaWiki. Nesting
 is matched by ``re.finditer`` token scans over the open/close markers.
-Unclosed constructs drop through to end of text and are logged rather than
-raised.
+Each rule is a pattern compiled once, at import. Unclosed constructs drop
+through to end of text and are logged rather than raised.
 """
 
 from __future__ import annotations
@@ -29,7 +29,10 @@ ABBREVIATIONS = frozenset({
 
 _SENTENCE_BOUNDARY = re.compile(r"[.?!](?:\[\d+\])*(?:\s+)(?=[A-Z0-9])")
 
-_PUNCT_CHARS = set("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~“”‘’«»…")
+_PUNCT_CHARS = re.escape("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~“”‘’«»…")
+# A token is the run from the first to the last non-punctuation character of
+# a whitespace-free chunk, or one punctuation character outside that run.
+_TOKEN = re.compile(f"[^\\s{_PUNCT_CHARS}](?:\\S*[^\\s{_PUNCT_CHARS}])?|[{_PUNCT_CHARS}]")
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,30 @@ class Sentence:
 # markup stripping
 # ---------------------------------------------------------------------------
 
+_COMMENT = re.compile(r"<!--.*?-->", re.DOTALL)
+
+# A ref runs to the first ">" and then, unless self-closing, to the first
+# "</ref" and its ">" (or end of text). Without "</ref" or without any ">"
+# it drops to end of line; those two cases are logged. Only "ref" ignores
+# case: a literal "<" up front lets the scan skip ahead to each "<".
+_REF = re.compile(
+    r"<(?i:ref)(?:[^>]*/>"
+    r"|[^>]*>.*?</(?i:ref)[^>]*(?:>|\Z)"
+    r"|(?P<no_close>[^>]*>[^\n]*)"
+    r"|(?P<no_gt>[^\n]*))",
+    re.DOTALL,
+)
+_REF_WARNINGS = {
+    "no_close": "<ref> without </ref> at offset %d; dropping rest of line",
+    "no_gt": "unclosed <ref tag at offset %d; dropping rest of line",
+}
+_GALLERY = re.compile(r"<gallery\b[^>]*>.*?</gallery\s*>", re.DOTALL | re.IGNORECASE)
+_TEMPLATE_TOKEN = re.compile(r"\{\{|\}\}")
+_LINK_TOKEN = re.compile(r"\[\[|\]\]")
+
+
 def _remove_comments(text: str) -> str:
-    out = re.sub(r"<!--.*?-->", "", text, flags=re.DOTALL)
+    out = _COMMENT.sub("", text)
     # An unterminated comment swallows the rest of the text.
     idx = out.find("<!--")
     if idx != -1:
@@ -68,55 +93,25 @@ def _remove_comments(text: str) -> str:
     return out
 
 
-def _remove_refs(text: str) -> str:
-    """Drop <ref .../> and <ref ...>...</ref> including their contents."""
-    out = []
-    pos = 0
-    lower = text.lower()
-    while True:
-        start = lower.find("<ref", pos)
-        if start == -1:
-            out.append(text[pos:])
-            break
-        out.append(text[pos:start])
-        gt = text.find(">", start)
-        if gt == -1:
-            logger.warning("unclosed <ref tag at offset %d; dropping rest of line", start)
-            nl = text.find("\n", start)
-            pos = len(text) if nl == -1 else nl
-            continue
-        if text[gt - 1] == "/":  # self-closing
-            pos = gt + 1
-            continue
-        close = lower.find("</ref", gt)
-        if close == -1:
-            logger.warning("<ref> without </ref> at offset %d; dropping rest of line", start)
-            nl = text.find("\n", gt)
-            pos = len(text) if nl == -1 else nl
-            continue
-        close_gt = text.find(">", close)
-        pos = len(text) if close_gt == -1 else close_gt + 1
-    return "".join(out)
+def _drop_ref(match: re.Match) -> str:
+    if match.lastgroup:
+        logger.warning(_REF_WARNINGS[match.lastgroup], match.start())
+    return ""
 
 
-def _remove_paired_tag(text: str, tag: str) -> str:
-    """Drop <tag>...</tag> blocks wholesale (gallery and similar)."""
-    pattern = re.compile(rf"<{tag}\b[^>]*>.*?</{tag}\s*>", re.DOTALL | re.IGNORECASE)
-    return pattern.sub("", text)
-
-
-def _replace_balanced(text: str, open_tok: str, close_tok: str, label: str,
+def _replace_balanced(text: str, open_tok: str, tokens: re.Pattern, label: str,
                       replace) -> str:
-    """Replace every outermost open_tok...close_tok region with replace(inner).
+    """Replace every outermost open_tok...closer region with replace(inner).
 
-    Nesting-aware. An unclosed opener drops through to end of text (logged);
-    stray closers are left alone.
+    ``tokens`` matches open_tok and its closer. Nesting-aware. An unclosed
+    opener drops through to end of text (logged); stray closers are left
+    alone.
     """
     if open_tok not in text:  # most table cells carry no markup
         return text
     out = []
     pos = depth = start = 0
-    for match in re.finditer(f"{re.escape(open_tok)}|{re.escape(close_tok)}", text):
+    for match in tokens.finditer(text):
         if match.group() == open_tok:
             if depth == 0:
                 out.append(text[pos:match.start()])
@@ -172,19 +167,26 @@ def _link_text(inner: str) -> str:
     if inner.lower().startswith(_DROP_LINK_NAMESPACES):
         return ""
     kept = _split_protected(inner, ("|",))[-1]
-    return _replace_balanced(kept, "[[", "]]", "[[", _link_text)
+    return _replace_balanced(kept, "[[", _LINK_TOKEN, "[[", _link_text)
+
+
+# The separator tuples _split_protected is called with, each with its pattern.
+# Separators must contain no bracket characters, so no separator can overlap
+# a nesting token.
+_SPLIT_TOKENS = {
+    seps: re.compile(r"\[\[|\{\{|\]\]|\}\}|" + "|".join(map(re.escape, seps)))
+    for seps in (("|",), ("||",), ("!!", "||"))
+}
 
 
 def _split_protected(text: str, seps: tuple[str, ...]) -> list[str]:
     """Split on separators occurring outside [[...]] and {{...}} nesting.
 
-    Separators must contain no bracket characters, so no separator can
-    overlap a nesting token.
+    ``seps`` must be one of the tuples in ``_SPLIT_TOKENS``.
     """
     parts = []
     depth = pos = 0
-    tokens = r"\[\[|\{\{|\]\]|\}\}|" + "|".join(map(re.escape, seps))
-    for match in re.finditer(tokens, text):
+    for match in _SPLIT_TOKENS[seps].finditer(text):
         tok = match.group()
         if tok in ("[[", "{{"):
             depth += 1
@@ -226,13 +228,13 @@ def strip_markup(wikitext: str, remove_tables: bool = True) -> str:
             wikitext = wikitext[:s] + f"\x00T{idx}\x00" + wikitext[e:]
 
     text = _remove_comments(wikitext)
-    text = _remove_refs(text)
-    text = _remove_paired_tag(text, "gallery")
-    text = _replace_balanced(text, "{{", "}}", "template", lambda inner: "")
+    text = _REF.sub(_drop_ref, text)
+    text = _GALLERY.sub("", text)
+    text = _replace_balanced(text, "{{", _TEMPLATE_TOKEN, "template", lambda inner: "")
     if remove_tables:
         text = _remove_tables(text)
     text = _HEADING.sub(r"\1", text)
-    text = _replace_balanced(text, "[[", "]]", "[[", _link_text)
+    text = _replace_balanced(text, "[[", _LINK_TOKEN, "[[", _link_text)
     text = _EXTERNAL_LINK.sub(lambda m: m.group(1) or "", text)
     text = _HTML_TAG.sub("", text)
     text = _LIST_MARKER.sub("", text)
@@ -248,6 +250,7 @@ def strip_markup(wikitext: str, remove_tables: bool = True) -> str:
 # ---------------------------------------------------------------------------
 
 _SPAN_ATTR = re.compile(r"(rowspan|colspan)\s*=\s*\"?(\d+)\"?", re.IGNORECASE)
+_BRACKET = re.compile(r"[{}\[\]]")
 
 # MediaWiki's limits; beyond them one vandal attribute could exhaust memory.
 _MAX_ROWSPAN = 65534
@@ -272,7 +275,7 @@ def _parse_cell(raw: str) -> tuple[str, int, int]:
         prefix = parts[0]
         # MediaWiki: text before a single top-level pipe is attributes, but
         # only treat it so when it actually looks like attribute syntax.
-        if "=" in prefix and not re.search(r"[{}\[\]]", prefix):
+        if "=" in prefix and not _BRACKET.search(prefix):
             body = "|".join(parts[1:])
             for name, value in _SPAN_ATTR.findall(prefix):
                 if name.lower() == "rowspan":
@@ -456,18 +459,4 @@ def tokenize(sentence_text: str) -> list[str]:
     Internal punctuation survives, so "16,000" and "mother-to-child" stay
     single tokens while "died." becomes ["died", "."].
     """
-    tokens: list[str] = []
-    for chunk in sentence_text.split():
-        leading: list[str] = []
-        trailing: list[str] = []
-        while chunk and chunk[0] in _PUNCT_CHARS:
-            leading.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and chunk[-1] in _PUNCT_CHARS:
-            trailing.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(leading)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(trailing))
-    return tokens
+    return _TOKEN.findall(sentence_text)

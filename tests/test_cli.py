@@ -13,6 +13,7 @@ from outbreakminer.cli import main
 from outbreakminer.corpus import LabeledToken, write_iob_tsv
 from outbreakminer.ingest import RevisionCache
 from outbreakminer.synthcorpus import generate_labeled_corpus
+from outbreakminer.timeseries import load_ground_truth
 
 
 def run(*argv):
@@ -157,6 +158,17 @@ class TestTables:
         assert out.read_text() == ("date,country,metric,value\n"
                                    "2014-03-22,Guinea,cases,49\n"
                                    "2014-03-30,Guinea,cases,112\n")
+
+    def test_import_truth_skips_non_finite_and_negative_cells(self, tmp_path):
+        src = tmp_path / "wide.csv"
+        src.write_text("Date,Cases_Guinea,Deaths_Guinea\n"
+                       "3/22/2014,49,inf\n3/23/2014,nan,-5\n3/24/2014,-inf,7\n")
+        out = tmp_path / "out.csv"
+        assert run("tables", "import-truth", "--in", str(src), "--out", str(out)) == 0
+        assert out.read_text() == ("date,country,metric,value\n"
+                                   "2014-03-22,Guinea,cases,49\n"
+                                   "2014-03-24,Guinea,deaths,7\n")
+        assert len(load_ground_truth(out).series) == 2
 
 
 class TestRmseCommand:

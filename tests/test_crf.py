@@ -439,6 +439,25 @@ class TestModelIo:
             load_model(path)
         assert str(err.value).startswith(message)
 
+    @pytest.mark.parametrize("labels_line, entry_lines, message", [
+        ("labels\tO\tO", [], "repeated label 'O'"),
+        ("labels\tO\tB-DEATHS", ["w[0]=x\tO\t1.0", "w[0]=x\tO\t2.0"],
+         "line 5: repeated entry 'w[0]=x' 'O'"),
+        ("labels\tO\tB-DEATHS", ["TRANS\tO\tB-DEATHS\t1.0", "TRANS\tO\tB-DEATHS\t2.0"],
+         "line 5: repeated TRANS entry 'O' 'B-DEATHS'"),
+    ], ids=["label", "emission-entry", "transition-entry"])
+    def test_repeated_label_or_entry_named(self, tmp_path, labels_line, entry_lines,
+                                           message):
+        path = tmp_path / "bad.tsv"
+        path.write_text("\n".join([
+            "crf-model\t1", labels_line,
+            "config\tmax_ngram_len=1\twindow=0\tuse_pos=0\tuse_shape=0\tl2_lambda=0.0",
+            *entry_lines,
+        ]) + "\n")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(path)
+        assert str(err.value) == message
+
     def test_hand_written_model_tags_as_computed(self, tmp_path):
         # Two features; "w[0]=died" pushes B-DEATHS by +2, everything else 0.
         # Decoding "died" must therefore pick B-DEATHS with path score 2.

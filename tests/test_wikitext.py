@@ -41,6 +41,28 @@ class TestStripMarkup:
             "the virus spread."
         )
 
+    @pytest.mark.parametrize("text, expected, warning", [
+        ("A<ref name=x/>B", "AB", None),
+        ("A<ref>x</ref>B", "AB", None),
+        ("A<REF name=y>x</Ref >B", "AB", None),
+        ("A<ref>x\nB", "A\nB", "<ref> without </ref> at offset 1"),
+        ("A<ref name=x\nB", "A\nB", "unclosed <ref tag at offset 1"),
+        ("A<ref>x</ref\nB", "A", None),
+        # "İ".lower() is two code points; ref offsets must not shift after it.
+        ("İstanbul had 5 cases.<ref>WHO</ref> Then 7 deaths.",
+         "İstanbul had 5 cases. Then 7 deaths.", None),
+    ], ids=["self-closing", "paired", "mixed-case", "no-closer", "no-gt", "closer-no-gt",
+            "after-length-changing-lowercase"])
+    def test_ref_outcomes(self, caplog, text, expected, warning):
+        assert strip_markup(text) == expected
+        assert [r.getMessage().split(";")[0] for r in caplog.records] == (
+            [warning] if warning else []
+        )
+
+    def test_comment_closer_inside_comment_opener(self):
+        # The closed comment goes first; the "<!--" it leaves swallows the tail.
+        assert strip_markup("<<!-- x -->!-->tail") == ""
+
     def test_table_removed(self):
         assert strip_markup("before {| class=x |- | 7 |} after") == "before  after"
 
@@ -199,6 +221,7 @@ MARKUP_TOKENS = [
     "colspan=3", 'colspan="100000"', "rowspan=70000", "rowspan=2", "<ref>", "</ref>",
     "<ref name=x/>", "'''", "''", "<!--", "-->", "File:", "== ", "* ",
     "[http://example.org label]", "Date", "1,234", "=", "<span ", ">", "\x00", "\x00T0\x00",
+    "<gallery>", "</gallery>", "İ",
 ]
 
 
