@@ -11,8 +11,8 @@ package root re-exports nothing, so a command loads only the layers it runs.
 import os
 
 # One BLAS thread, set before numpy loads: threaded BLAS reductions, such as
-# the dot products inside L-BFGS-B, round differently per thread count, so
-# trained model files would differ between machines.
+# the dot products inside crf.minimize_lbfgs, round differently per thread
+# count, so trained model files would differ between machines.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 

@@ -278,7 +278,7 @@ def _feature_config(args):
 
 
 def cmd_ner(args) -> int:
-    # Only ner trains or decodes, so only ner pays for loading numpy and scipy.
+    # Only ner trains or decodes, so only ner pays for loading numpy.
     from . import crf as crf_mod
     from . import nereval
 
@@ -390,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     scoring = argparse.ArgumentParser(add_help=False)
     scoring.add_argument("--truth", required=True)
     scoring.add_argument("--from", dest="start_from")
-    scoring.add_argument("--out", dest="output")
     scoring.add_argument("--summary")
     scoring.add_argument("--out-json")
 
@@ -413,18 +412,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input")
     p.add_argument("--out", dest="output")
     tsub = p.add_subparsers(dest="tables_cmd")
+    # A subcommand's --in/--out only sets what it is given, so the same
+    # option given before the subcommand is not reset to a default.
+    keep = argparse.SUPPRESS
     q = tsub.add_parser("extract", help="per-revision series from cached revisions",
                         parents=[cached])
-    q.add_argument("--out", dest="output")
+    q.add_argument("--out", dest="output", default=keep)
     q = tsub.add_parser("interpolate", help="fill series to daily granularity")
-    q.add_argument("--in", dest="input", required=True)
-    q.add_argument("--out", dest="output")
+    q.add_argument("--in", dest="input", required=True, default=keep)
+    q.add_argument("--out", dest="output", default=keep)
     q = tsub.add_parser("rmse", help="score extracted series against ground truth",
                         parents=[scoring])
-    q.add_argument("--in", dest="input", required=True)
+    q.add_argument("--in", dest="input", required=True, default=keep)
+    q.add_argument("--out", dest="output", default=keep)
     q = tsub.add_parser("import-truth", help="normalize a Rivers-style wide CSV")
-    q.add_argument("--in", dest="input", required=True)
-    q.add_argument("--out", dest="output", required=True)
+    q.add_argument("--in", dest="input", required=True, default=keep)
+    q.add_argument("--out", dest="output", required=True, default=keep)
     p.set_defaults(handler=cmd_tables, tables_cmd=None)
 
     p = sub.add_parser("corpus", help="build a training corpus or measure agreement")
@@ -479,6 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rmse", help="full table pipeline: cache -> RMSE report",
                        parents=[cached, scoring])
+    p.add_argument("--out", dest="output")
     p.set_defaults(handler=cmd_rmse)
 
     p = sub.add_parser("report", help="convert a report JSON into tidy plot CSV")

@@ -13,8 +13,9 @@ from __future__ import annotations
 import logging
 import math
 import re
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +60,7 @@ class CrfModel:
     weights: np.ndarray
     config: FeatureConfig
     _feature_index: dict = field(default=None, repr=False, compare=False)
+    _local_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         expected = len(self.feature_names) * len(self.labels) + len(self.labels) ** 2
@@ -93,6 +95,21 @@ class CrfModel:
             self._feature_index = {name: i for i, name in enumerate(self.feature_names)}
         return self._feature_index
 
+    def local_rows(self, token: str) -> tuple[list[int], list[int]]:
+        """Rows of the token's known features, memoised: ``(identity, the rest)``.
+
+        The identity list holds the ``w[0]`` row if it is known; the rest are
+        the shape and n-gram rows, in ``extract_features`` order.
+        """
+        rows = self._local_rows.get(token)
+        if rows is None:
+            index = self.feature_index
+            names = _local_features(token, self.config)
+            rows = ([index[n] for n in names[:1] if n in index],
+                    [index[n] for n in names[1:] if n in index])
+            self._local_rows[token] = rows
+        return rows
+
 
 @dataclass(frozen=True)
 class TagResult:
@@ -124,26 +141,9 @@ def _word_shape(token: str) -> str:
     return "mixed"
 
 
-def extract_features(tokens: Sequence[str], pos: Sequence[str], position: int,
-                     config: FeatureConfig) -> list[str]:
-    """Feature names active at one position, deduplicated, deterministic order.
-
-    Token identities (and POS tags when enabled) for offsets within the
-    window, a word-shape class when enabled, and all character n-grams of the
-    current token up to ``max_ngram_len``.
-    """
-    feats: list[str] = []
-    n = len(tokens)
-    for off in range(-config.window, config.window + 1):
-        idx = position + off
-        if 0 <= idx < n:
-            feats.append(f"w[{off}]={tokens[idx]}")
-    if config.use_pos:
-        for off in range(-config.window, config.window + 1):
-            idx = position + off
-            if 0 <= idx < n:
-                feats.append(f"p[{off}]={pos[idx]}")
-    token = tokens[position]
+def _local_features(token: str, config: FeatureConfig) -> list[str]:
+    """Features of the token alone: identity, shape when enabled, n-grams."""
+    feats = [f"w[0]={token}"]
     if config.use_shape:
         feats.append(f"shape={_word_shape(token)}")
         if any(ch.isdigit() for ch in token) and not token.isdigit():
@@ -154,16 +154,44 @@ def extract_features(tokens: Sequence[str], pos: Sequence[str], position: int,
     return list(dict.fromkeys(feats))
 
 
-def _encode_positions(feature_index: dict[str, int], config: FeatureConfig,
-                      tokens: Sequence[str], pos: Sequence[str]) -> list[np.ndarray]:
-    """Per-position arrays of known-feature row indices."""
+def _context_features(tokens: Sequence[str], pos: Sequence[str], position: int,
+                      config: FeatureConfig) -> tuple[list[str], list[str]]:
+    """The window features at one position, split where ``w[0]`` goes.
+
+    ``(w[-k..-1], w[1..k] + p[-k..k])`` for the offsets inside the sentence.
+    """
+    lo = max(0, position - config.window)
+    hi = min(len(tokens), position + config.window + 1)
+    before = [f"w[{i - position}]={tokens[i]}" for i in range(lo, position)]
+    after = [f"w[{i - position}]={tokens[i]}" for i in range(position + 1, hi)]
+    if config.use_pos:
+        after += [f"p[{i - position}]={pos[i]}" for i in range(lo, hi)]
+    return before, after
+
+
+def extract_features(tokens: Sequence[str], pos: Sequence[str], position: int,
+                     config: FeatureConfig) -> list[str]:
+    """Feature names active at one position, deduplicated, deterministic order.
+
+    Token identities (and POS tags when enabled) for offsets within the
+    window, a word-shape class when enabled, and all character n-grams of the
+    current token up to ``max_ngram_len``.
+    """
+    before, after = _context_features(tokens, pos, position, config)
+    local = _local_features(tokens[position], config)
+    return before + local[:1] + after + local[1:]
+
+
+def _encode_positions(model: CrfModel, tokens: Sequence[str],
+                      pos: Sequence[str]) -> list[np.ndarray]:
+    """Per-position arrays of known-feature rows, in ``extract_features`` order."""
+    index = model.feature_index
     rows = []
-    for t in range(len(tokens)):
-        idx = [
-            feature_index[name]
-            for name in extract_features(tokens, pos, t, config)
-            if name in feature_index
-        ]
+    for t, token in enumerate(tokens):
+        before, after = _context_features(tokens, pos, t, model.config)
+        identity, rest = model.local_rows(token)
+        idx = [index[name] for name in before if name in index] + identity
+        idx += [index[name] for name in after if name in index] + rest
         rows.append(np.asarray(idx, dtype=np.intp))
     return rows
 
@@ -175,7 +203,7 @@ def _emissions(model: CrfModel, tokens: Sequence[str],
         raise ValueError("sequence must be non-empty")
     if pos is None:
         pos = pos_tag(tokens)
-    rows_per_pos = _encode_positions(model.feature_index, model.config, tokens, pos)
+    rows_per_pos = _encode_positions(model, tokens, pos)
     emission_w = model.emission_weights
     emis = np.zeros((len(rows_per_pos), model.n_labels))
     for t, rows in enumerate(rows_per_pos):
@@ -229,43 +257,87 @@ def log_forward_backward(model: CrfModel, tokens: Sequence[str],
 # objective and gradient
 # ---------------------------------------------------------------------------
 
-def _encode_dataset(model: CrfModel, dataset: Sequence[Sequence[LabeledToken]]):
-    """One training batch: ``(x, y, steps)``.
+class _Batch(NamedTuple):
+    """A training batch factored by token; see ``_encode_dataset``."""
 
-    ``x`` is a CSR position x feature indicator matrix, positions in dataset
-    order; ``y`` holds each position's gold label index; ``steps`` is a
-    ``(B, L)`` index from sequence step to position row, padded with -1.
-    Its rows run longest sequence first, so the sequences still running at
-    any step are a prefix of the rows.
+    token: np.ndarray
+    local: np.ndarray
+    local_starts: np.ndarray
+    window: np.ndarray
+    grad_rows: np.ndarray
+    grad_features: np.ndarray
+    grad_starts: np.ndarray
+    y: np.ndarray
+    steps: np.ndarray
+
+
+def _encode_dataset(model: CrfModel, dataset: Sequence[Sequence[LabeledToken]]) -> _Batch:
+    """One training batch, with each distinct token's features encoded once.
+
+    Positions run in dataset order. ``token`` maps each position to its
+    vocabulary entry. ``local[local_starts[v]:local_starts[v + 1]]`` holds
+    entry v's identity, shape and n-gram rows, ended by the zero row
+    ``n_features``, so no segment is empty. ``window`` is ``(slots, positions)``:
+    each slot is one ``w[off]`` (off != 0) or ``p[off]`` feature, and holds
+    ``n_features`` where the offset leaves the sentence or the feature is
+    unknown. The emission gradient sums rows of ``[per-position marginals;
+    per-token sums]``: ``grad_rows`` holds them grouped by feature, group g
+    starting at ``grad_starts[g]`` for feature ``grad_features[g]``. ``y``
+    holds each position's gold label; ``steps`` is a ``(B, L)`` index from
+    sequence step to position, padded with -1, longest sequence first, so
+    the sequences still running at any step are a prefix of the rows.
     """
-    from scipy.sparse import csr_array  # training only; tagging needs no scipy
-
     label_index = {lab: i for i, lab in enumerate(model.labels)}
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    for seq in dataset:
-        tokens = [t.token for t in seq]
-        pos = [t.pos for t in seq]
-        try:
-            labels.extend(label_index[t.label] for t in seq)
-        except KeyError as exc:
-            raise ValueError(f"label {exc.args[0]!r} not in model label set") from None
-        rows.extend(_encode_positions(model.feature_index, model.config, tokens, pos))
-    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows], dtype=np.intp)])
-    indices = np.concatenate(rows or [np.zeros(0, dtype=np.intp)])
-    x = csr_array((np.ones(indices.size), indices, indptr),
-                  shape=(len(rows), model.n_features))
+    try:
+        y = np.fromiter((label_index[t.label] for seq in dataset for t in seq), np.intp)
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} not in model label set") from None
+    vocab: dict[str, int] = {}
+    tags: dict[str, int] = {}
+    token = np.fromiter((vocab.setdefault(t.token, len(vocab))
+                         for seq in dataset for t in seq), np.intp)
+    tag = np.fromiter((tags.setdefault(t.pos, len(tags)) for seq in dataset for t in seq),
+                      np.intp)
+    n, none = token.size, model.n_features
+
+    local_lists = [identity + rest + [none] for identity, rest in map(model.local_rows, vocab)]
+    local = np.asarray([r for rows in local_lists for r in rows], dtype=np.intp)
+    sizes = np.asarray([len(rows) for rows in local_lists], dtype=np.intp)
+    local_starts = np.cumsum(sizes) - sizes
 
     lengths = np.asarray([len(seq) for seq in dataset], dtype=np.intp)
     starts = np.cumsum(lengths) - lengths
+    offset_in_seq = np.arange(n) - np.repeat(starts, lengths)
+    seq_len = np.repeat(lengths, lengths)
+    k, index = model.config.window, model.feature_index
+    slots = [("w", off, vocab, token) for off in range(-k, k + 1) if off]
+    if model.config.use_pos:
+        slots += [("p", off, tags, tag) for off in range(-k, k + 1)]
+    window = np.full((len(slots), n), none, dtype=np.intp)
+    for row, (kind, off, values, ids) in zip(window, slots):
+        rows = np.asarray([index.get(f"{kind}[{off}]={v}", none) for v in values],
+                          dtype=np.intp)
+        inside = (offset_in_seq + off >= 0) & (offset_in_seq + off < seq_len)
+        row[inside] = rows[ids[np.flatnonzero(inside) + off]]
+
+    local_owner = np.repeat(np.arange(len(vocab)), sizes)
+    in_window, in_local = window < none, local < none
+    features = np.concatenate([window[in_window], local[in_local]])
+    sources = np.concatenate([np.broadcast_to(np.arange(n), window.shape)[in_window],
+                              n + local_owner[in_local]])
+    order = np.argsort(features, kind="stable")
+    features, grad_rows = features[order], sources[order]
+    grad_starts = np.flatnonzero(np.diff(features, prepend=-1))
+
     order = np.argsort(-lengths, kind="stable")
     offsets = np.arange(lengths.max(initial=0))
     steps = np.where(offsets < lengths[order, None], starts[order, None] + offsets, -1)
-    return x, np.asarray(labels, dtype=np.intp), steps
+    return _Batch(token, local, local_starts, window, grad_rows, features[grad_starts],
+                  grad_starts, y, steps)
 
 
 def _encoded_nll_grad(weights: np.ndarray, n_features: int, n_labels: int,
-                      encoded, l2_lambda: float):
+                      encoded: _Batch, l2_lambda: float):
     """Objective and gradient over one ``_encode_dataset`` batch.
 
     Forward-backward runs over the whole batch at once, in probability space
@@ -274,14 +346,23 @@ def _encoded_nll_grad(weights: np.ndarray, n_features: int, n_labels: int,
     taken out before exponentiating and added back into log Z, so scores
     stay finite while a step's score range is well under ~700.
     """
-    x, y, steps = encoded
+    b = encoded
+    y, steps = b.y, b.steps
     n_emit = n_features * n_labels
-    emission_w = weights[:n_emit].reshape(n_features, n_labels)
+    # Label-major (labels x features), so every gather and segment sum runs
+    # along a contiguous row. Column n_features is the zero column that
+    # absent features point at.
+    emission_t = np.zeros((n_labels, n_features + 1))
+    emission_t[:, :n_features] = weights[:n_emit].reshape(n_features, n_labels).T
     trans = weights[n_emit:].reshape(n_labels, n_labels)
     nll = 0.5 * l2_lambda * float(np.sum(weights * weights))
     grad = l2_lambda * weights
     if y.size:
-        emis = x @ emission_w
+        per_token = np.add.reduceat(emission_t.take(b.local, axis=1), b.local_starts, axis=1)
+        emis_t = per_token.take(b.token, axis=1)
+        for slot in b.window:
+            emis_t += emission_t.take(slot, axis=1)
+        emis = emis_t.T
         emis_max = emis.max(axis=1)
         trans_max = trans.max()
         expo_t = np.exp(trans - trans_max)
@@ -315,7 +396,11 @@ def _encoded_nll_grad(weights: np.ndarray, n_features: int, n_labels: int,
         marginals = np.empty_like(emis)
         marginals[index[valid]] = (alpha * beta)[valid]
         marginals[np.arange(y.size), y] -= 1.0
-        grad[:n_emit] += (x.T @ marginals).ravel()
+        marginals_t = marginals.T
+        token_sums = [np.bincount(b.token, m, len(b.local_starts)) for m in marginals_t]
+        rows = np.concatenate([marginals_t, token_sums], axis=1).take(b.grad_rows, axis=1)
+        grad[:n_emit].reshape(n_features, n_labels)[b.grad_features] += np.add.reduceat(
+            rows, b.grad_starts, axis=1).T
         grad_t = expo_t * (alpha[:-1][edge].T @ ahead[1:][edge])
         np.add.at(grad_t, (y[prev], y[nxt]), -1.0)
         grad[n_emit:] += grad_t.ravel()
@@ -339,6 +424,98 @@ def nll_and_gradient(model: CrfModel, dataset: Sequence[Sequence[LabeledToken]])
 # training
 # ---------------------------------------------------------------------------
 
+class LbfgsResult(NamedTuple):
+    """What ``minimize_lbfgs`` stopped at; ``g_inf`` is max|g| there."""
+
+    x: np.ndarray
+    f: float
+    g_inf: float
+    iterations: int
+    status: str  # "gtol", "ftol", "max_iter" or "line_search"
+
+
+def _wolfe_step(fun, x, f0, g0, direction, step):
+    """A step meeting the strong Wolfe conditions, as ``(step, f, g)``, or None.
+
+    Nocedal & Wright (2006), Alg. 3.5 (bracketing) and 3.6 (zoom), with the
+    cubic interpolation of their eq. 3.59 inside the bracket, c1 = 1e-4,
+    c2 = 0.9, and at most 20 evaluations, as L-BFGS-B allows. ``lo`` is the
+    lowest trial with sufficient decrease; ``hi`` the other bracket end.
+    """
+    c1, c2 = 1e-4, 0.9
+    slope0 = float(g0 @ direction)
+    lo, hi = (0.0, f0, slope0), None
+    for _ in range(20):
+        f, g = fun(x + step * direction)
+        slope = float(g @ direction)
+        if f > f0 + c1 * step * slope0 or f >= lo[1]:
+            hi = (step, f, slope)
+        elif abs(slope) <= -c2 * slope0:
+            return step, f, g
+        else:
+            if slope * ((hi[0] if hi else math.inf) - lo[0]) >= 0:
+                hi = lo
+            lo = (step, f, slope)
+        if hi is None:
+            step *= 2.0
+            continue
+        (a_lo, f_lo, d_lo), (a_hi, f_hi, d_hi) = lo, hi
+        e = d_lo + d_hi - 3.0 * (f_lo - f_hi) / (a_lo - a_hi)
+        root = math.sqrt(max(e * e - d_lo * d_hi, 0.0)) * math.copysign(1.0, a_hi - a_lo)
+        denom = d_hi - d_lo + 2.0 * root
+        step = a_hi - (a_hi - a_lo) * (d_hi + root - e) / denom if denom else math.nan
+        # Keep the trial off the bracket ends; bisect when the cubic strays.
+        margin = 0.1 * abs(a_hi - a_lo)
+        if not min(a_lo, a_hi) + margin <= step <= max(a_lo, a_hi) - margin:
+            step = 0.5 * (a_lo + a_hi)
+    return None
+
+
+def minimize_lbfgs(fun, x, *, max_iter: int, callback=None, gtol: float = 1e-5,
+                   ftol: float = 1e7 * np.finfo(float).eps) -> LbfgsResult:
+    """Minimise ``fun(x) -> (value, gradient)`` by L-BFGS (Liu & Nocedal 1989).
+
+    The direction comes from the two-loop recursion over the last 10
+    curvature pairs (Nocedal & Wright 2006, Alg. 7.4); the first step has
+    unit length. Stops as L-BFGS-B does: when ``max|g| <= gtol``, when f
+    falls by no more than ``ftol * max(|f_old|, |f|, 1)``, or after
+    ``max_iter`` iterations. ``callback(f)`` runs after each iteration.
+    """
+    f, g = fun(x)
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=10)
+    iterations, f_old, status = 0, None, "gtol"
+    while np.abs(g).max(initial=0.0) > gtol:
+        if f_old is not None and f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            status = "ftol"
+            break
+        if iterations >= max_iter:
+            status = "max_iter"
+            break
+        q, alphas = g.copy(), []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * float(s @ q))
+            q -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            q *= float(s @ y) / float(y @ y)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * float(y @ q)) * s
+        found = _wolfe_step(fun, x, f, g, -q, 1.0 if pairs else 1.0 / np.linalg.norm(g))
+        if found is None:
+            status = "line_search"
+            break
+        step, f_new, g_new = found
+        s, y = -step * q, g_new - g
+        sy = float(s @ y)
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        x, f_old, f, g = x + s, f, f_new, g_new
+        iterations += 1
+        if callback is not None:
+            callback(f)
+    return LbfgsResult(x, f, float(np.abs(g).max(initial=0.0)), iterations, status)
+
+
 def train(dataset: Sequence[Sequence[LabeledToken]], config: FeatureConfig,
           *, max_iter: int = 200, iteration_log: list | None = None) -> CrfModel:
     """Fit a CRF over ``LABELS`` by L-BFGS from zero initialization.
@@ -347,61 +524,68 @@ def train(dataset: Sequence[Sequence[LabeledToken]], config: FeatureConfig,
     ``LABELS`` raises ValueError naming it. Raises TrainingError (naming the
     objective-evaluation count) if the objective goes non-finite.
     """
-    from scipy.optimize import minimize  # training only; tagging needs no scipy
-
     if not dataset:
         raise ValueError("training dataset is empty")
 
-    names: dict[str, None] = {}
+    # Feature rows in first-appearance order of extract_features. A token's
+    # local features all first appear where the token does, so later
+    # occurrences add only their window features.
+    index: dict[str, int] = {}
+    local: dict[str, tuple[list[int], list[int]]] = {}
     for seq in dataset:
         tokens = [t.token for t in seq]
         pos = [t.pos for t in seq]
-        for t in range(len(seq)):
-            for name in extract_features(tokens, pos, t, config):
-                names.setdefault(name)
-    feature_names = tuple(names)
+        for t, token in enumerate(tokens):
+            before, after = _context_features(tokens, pos, t, config)
+            feats = [] if token in local else _local_features(token, config)
+            for name in before + feats[:1] + after + feats[1:]:
+                index.setdefault(name, len(index))
+            if feats:
+                local[token] = ([index[feats[0]]], [index[name] for name in feats[1:]])
 
-    n_features, n_labels = len(feature_names), len(LABELS)
+    n_features, n_labels = len(index), len(LABELS)
     model = CrfModel(
         labels=LABELS,
-        feature_names=feature_names,
+        feature_names=tuple(index),
         weights=np.zeros(n_features * n_labels + n_labels ** 2),
         config=config,
+        _feature_index=index,
+        _local_rows=local,
     )
     encoded = _encode_dataset(model, dataset)
 
-    state = {"evals": 0, "last_f": None}
+    evals = 0
 
     def objective(w):
-        state["evals"] += 1
+        nonlocal evals
+        evals += 1
         value, grad = _encoded_nll_grad(w, n_features, n_labels, encoded,
                                         config.l2_lambda)
         if not np.isfinite(value):
             raise TrainingError(
-                f"objective became non-finite at evaluation {state['evals']}",
-                iteration=state["evals"],
+                f"objective became non-finite at evaluation {evals}",
+                iteration=evals,
             )
-        state["last_f"] = value
         return value, grad
 
-    callback = None
-    if iteration_log is not None:
-        callback = lambda xk: iteration_log.append(state["last_f"])  # noqa: E731
-
-    result = minimize(
-        objective, model.weights, jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": 1e-5, "maxcor": 10},
-        callback=callback,
+    result = minimize_lbfgs(
+        objective, model.weights, max_iter=max_iter,
+        callback=None if iteration_log is None else iteration_log.append,
     )
     model.weights[:] = result.x
     if not np.all(np.isfinite(model.weights)):
         raise TrainingError(
-            f"non-finite weights after optimization ({state['evals']} evaluations)",
-            iteration=state["evals"],
+            f"non-finite weights after optimization ({evals} evaluations)",
+            iteration=evals,
         )
+    if result.status == "line_search":
+        logger.warning("CRF line search found no acceptable step after %d iterations; "
+                       "keeping the last iterate", result.iterations)
     logger.info(
-        "trained CRF: %d features, %d sequences, %d evaluations, objective %.6f",
-        n_features, len(dataset), state["evals"], result.fun,
+        "trained CRF: %d features, %d sequences, %d evaluations, %d iterations, "
+        "stopped on %s, max|g| %.3g, objective %.6f",
+        n_features, len(dataset), evals, result.iterations, result.status,
+        result.g_inf, result.f,
     )
     return model
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import outbreakminer
-from outbreakminer.cli import main
+from outbreakminer.cli import build_parser, main
 from outbreakminer.corpus import LabeledToken, write_iob_tsv
 from outbreakminer.ingest import RevisionCache
 from outbreakminer.synthcorpus import generate_labeled_corpus
@@ -136,6 +136,28 @@ class TestTables:
         summary_lines = summary.read_text().splitlines()
         assert summary_lines[0] == "country,metric,mean_rmse"
         assert len(summary_lines) == 5
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["tables", "--out", "o.json", "extract", "--title", "T"], (None, "o.json")),
+        (["tables", "--in", "x", "--out", "o.json", "interpolate", "--in", "y"],
+         ("y", "o.json")),
+        (["tables", "--out", "o.csv", "rmse", "--in", "y", "--truth", "t"], ("y", "o.csv")),
+        (["tables", "interpolate", "--in", "y", "--out", "o.json"], ("y", "o.json")),
+        (["tables", "extract", "--title", "T"], (None, None)),
+    ], ids=["out-before-extract", "in-out-before-interpolate", "out-before-rmse",
+            "after-only", "neither"])
+    def test_in_out_before_subcommand_kept(self, argv, expected):
+        args = build_parser().parse_args(argv)
+        assert (args.input, args.output) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--in", "x", "interpolate"],
+        ["tables", "--in", "x", "--truth", "t", "rmse"],
+        ["tables", "--out", "o.csv", "import-truth", "--in", "x"],
+        ["tables", "--in", "x", "import-truth", "--out", "o.csv"],
+    ])
+    def test_subcommand_required_in_out_still_required(self, argv):
+        assert run(*argv) == 2
 
     def test_import_truth(self, rivers_sample_path, tmp_path):
         out = tmp_path / "canonical.csv"
@@ -425,14 +447,36 @@ class TestImportGraph:
         ("outbreakminer.crf", ["numpy"]),
     ], ids=["cli", "ingest", "crf"])
     def test_module_loads_only_what_it_runs(self, module, heavy):
-        # Only ner commands need numpy and scipy, only fetch needs requests,
-        # and tagging needs numpy but no scipy.
+        # Only ner commands need numpy, only fetch needs requests, and no
+        # command needs scipy.
         code = (f"import sys, {module}; "
                 "print(*sorted({'numpy', 'scipy', 'requests'} & sys.modules.keys()))")
         env = dict(os.environ, PYTHONPATH=str(Path(outbreakminer.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True, timeout=120)
         assert done.stdout.split() == heavy
+
+
+    def test_training_and_ner_eval_load_no_scipy(self, tmp_path):
+        corpus = tmp_path / "corpus.tsv"
+        write_iob_tsv(generate_labeled_corpus(12, seed=3), corpus)
+        code = (
+            "import sys\n"
+            "from outbreakminer import crf\n"
+            "from outbreakminer.cli import main\n"
+            "from outbreakminer.corpus import LabeledToken\n"
+            "toy = [[LabeledToken('the', 'DET', 'O'), LabeledToken('x', 'OTHER', 'O'),\n"
+            "        LabeledToken('died', 'VERB', 'B-DEATHS')]] * 4\n"
+            "crf.train(toy, crf.FeatureConfig(), max_iter=20)\n"
+            f"assert main(['ner', 'eval', '--corpus', {str(corpus)!r}, '--k', '2',\n"
+            f"             '--max-iter', '10', '--out', {str(tmp_path / 'eval.json')!r}]) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(outbreakminer.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["False"]
+        assert json.loads((tmp_path / "eval.json").read_text())["aggregate"]
 
 
 class TestDeterminism:

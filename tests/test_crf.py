@@ -12,6 +12,7 @@ from outbreakminer.crf import (
     extract_features,
     load_model,
     log_forward_backward,
+    minimize_lbfgs,
     nll_and_gradient,
     save_model,
     spans_from_iob,
@@ -19,6 +20,7 @@ from outbreakminer.crf import (
     viterbi,
 )
 from outbreakminer.errors import IobStructureError, ModelFormatError
+from outbreakminer.synthcorpus import generate_labeled_corpus
 
 
 class BareToken:
@@ -119,6 +121,29 @@ class TestExtractFeatures:
             FeatureConfig(max_ngram_len=13)
         with pytest.raises(ValueError):
             FeatureConfig(l2_lambda=-1.0)
+
+    def test_encoded_rows_follow_extract_features(self):
+        # Decoding encodes through the per-token memo; extract_features is the
+        # reference, including which features a model does not know.
+        from outbreakminer.crf import _encode_positions
+
+        corpus = generate_labeled_corpus(40, seed=6)
+        cfg = FeatureConfig(max_ngram_len=4)
+        names: dict[str, None] = {}
+        for seq in corpus[:20]:
+            tokens, pos = [t.token for t in seq], [t.pos for t in seq]
+            for t in range(len(seq)):
+                names.update(dict.fromkeys(extract_features(tokens, pos, t, cfg)))
+        known = list(names)[::2]  # every other feature, so some are unknown
+        model = make_model(LABELS, known, np.zeros(len(known) * 7 + 49), **vars(cfg))
+        index = model.feature_index
+        for seq in corpus:
+            tokens, pos = [t.token for t in seq], [t.pos for t in seq]
+            expected = [[index[n] for n in extract_features(tokens, pos, t, cfg) if n in index]
+                        for t in range(len(seq))]
+            assert [r.tolist() for r in _encode_positions(model, tokens, pos)] == expected
+        identity_known = [bool(model.local_rows(t.token)[0]) for seq in corpus for t in seq]
+        assert any(identity_known) and not all(identity_known)
 
 
 class TestForwardBackward:
@@ -304,6 +329,105 @@ class TestTrain:
         assert len(log) >= 2
         assert log[0] >= 0.0
         assert all(b <= a + 1e-9 for a, b in zip(log, log[1:]))
+
+    @staticmethod
+    def trained_record(caplog, corpus, **kwargs):
+        log: list = []
+        with caplog.at_level("INFO", logger="outbreakminer.crf"):
+            train(corpus, FeatureConfig(max_ngram_len=2, window=1), iteration_log=log,
+                  **kwargs)
+        record = caplog.records[-1]
+        assert record.getMessage().startswith("trained CRF")
+        return record, log
+
+    def test_reports_max_iter_stop(self, caplog):
+        record, log = self.trained_record(caplog, toy_corpus(10), max_iter=2)
+        # args: features, sequences, evaluations, iterations, stop reason, max|g|
+        evals, iterations, status, g_inf = record.args[2:6]
+        assert (iterations, status) == (2, "max_iter")
+        assert evals >= 3 and len(log) == 2 and g_inf > 1e-5
+
+    def test_reports_convergence_stop(self, caplog):
+        record, log = self.trained_record(caplog, toy_corpus(10), max_iter=500)
+        evals, iterations, status, g_inf = record.args[2:6]
+        assert status in ("gtol", "ftol")
+        assert 0 < iterations < 500 and evals >= iterations == len(log)
+        assert status == "ftol" or g_inf <= 1e-5
+
+    def test_line_search_failure_warns_before_record(self, caplog, monkeypatch):
+        import outbreakminer.crf as crf_module
+
+        objective = crf_module._encoded_nll_grad
+
+        def uphill(*args):
+            value, grad = objective(*args)
+            return value, -grad
+
+        monkeypatch.setattr(crf_module, "_encoded_nll_grad", uphill)
+        record, log = self.trained_record(caplog, toy_corpus(5), max_iter=50)
+        assert record.args[4] == "line_search" and log == []
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and caplog.records[-2] is warnings[0]
+
+    @pytest.mark.parametrize("cfg", [
+        FeatureConfig(),
+        FeatureConfig(max_ngram_len=1, window=0, use_pos=False, use_shape=False),
+        FeatureConfig(max_ngram_len=3, window=1, use_pos=False),
+        FeatureConfig(max_ngram_len=12, window=3, use_shape=False),
+    ], ids=["default", "bare", "w1-nopos", "w3-noshape"])
+    def test_feature_names_in_first_appearance_order(self, cfg):
+        # Model files list features in this order, so it must not change.
+        corpus = generate_labeled_corpus(30, seed=4)
+        names: dict[str, None] = {}
+        for seq in corpus:
+            tokens, pos = [t.token for t in seq], [t.pos for t in seq]
+            for t in range(len(seq)):
+                names.update(dict.fromkeys(extract_features(tokens, pos, t, cfg)))
+        assert train(corpus, cfg, max_iter=1).feature_names == tuple(names)
+
+
+class TestLbfgs:
+    def test_reaches_quadratic_minimiser(self):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(50, 50)))
+        a = (q * np.logspace(0, 3, 50)) @ q.T  # condition number 1e3
+        target = rng.normal(size=50)
+
+        def fun(x):
+            r = x - target
+            return 0.5 * float(r @ a @ r), a @ r
+
+        log: list = []
+        result = minimize_lbfgs(fun, np.zeros(50), max_iter=1000, callback=log.append,
+                                gtol=1e-8, ftol=0.0)
+        assert result.status == "gtol"
+        assert np.abs(result.x - target).max() <= 1e-6
+        assert result.iterations == len(log) < 1000 and result.g_inf <= 1e-8
+
+    def test_already_stationary_start_takes_no_step(self):
+        result = minimize_lbfgs(lambda x: (float(x @ x), 2 * x), np.zeros(3), max_iter=10)
+        assert (result.iterations, result.status, result.f) == (0, "gtol", 0.0)
+
+    def test_matches_scipy_lbfgsb_at_convergence(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        from outbreakminer.crf import _encode_dataset, _encoded_nll_grad
+
+        corpus = generate_labeled_corpus(260, seed=21)
+        fit, held_out = corpus[:60], corpus[60:]
+        cfg = FeatureConfig()
+        model = train(fit, cfg, max_iter=500)
+        encoded = _encode_dataset(model, fit)
+        reference = optimize.minimize(
+            lambda w: _encoded_nll_grad(w, model.n_features, model.n_labels, encoded,
+                                        cfg.l2_lambda),
+            np.zeros_like(model.weights), jac=True, method="L-BFGS-B",
+            options={"maxiter": 500, "gtol": 1e-5, "maxcor": 10})
+        assert reference.success
+        assert np.abs(model.weights - reference.x).max() <= 1e-3
+        other = CrfModel(model.labels, model.feature_names, reference.x, cfg)
+        for seq in held_out:
+            tokens, pos = [t.token for t in seq], [t.pos for t in seq]
+            assert viterbi(model, tokens, pos).labels == viterbi(other, tokens, pos).labels
 
 
 class TestViterbi:
