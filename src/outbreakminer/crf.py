@@ -182,34 +182,69 @@ def extract_features(tokens: Sequence[str], pos: Sequence[str], position: int,
     return before + local[:1] + after + local[1:]
 
 
-def _encode_positions(model: CrfModel, tokens: Sequence[str],
-                      pos: Sequence[str]) -> list[np.ndarray]:
-    """Per-position arrays of known-feature rows, in ``extract_features`` order."""
-    index = model.feature_index
-    rows = []
-    for t, token in enumerate(tokens):
-        before, after = _context_features(tokens, pos, t, model.config)
-        identity, rest = model.local_rows(token)
-        idx = [index[name] for name in before if name in index] + identity
-        idx += [index[name] for name in after if name in index] + rest
-        rows.append(np.asarray(idx, dtype=np.intp))
-    return rows
+def _encode_tokens(model: CrfModel, token_seqs: Sequence[Sequence[str]],
+                   pos_seqs: Sequence[Sequence[str]]):
+    """``(token, local, local_starts, window)`` of sequences laid end to end.
+
+    ``token`` maps each position to its vocabulary entry. Entry v's identity,
+    shape and n-gram rows, encoded once, are ``local[local_starts[v]:]`` up to
+    and including the zero row ``n_features`` that ends every segment.
+    ``window`` is ``(slots, positions)``: each slot is one ``w[off]`` (off != 0)
+    or ``p[off]`` feature, and holds ``n_features`` where the offset leaves the
+    sequence or the feature is unknown. Offsets stop at the longest sequence's
+    length minus 1; larger ones never land on a token.
+    """
+    none, index = model.n_features, model.feature_index
+    k = max(0, min(model.config.window, max(map(len, token_seqs), default=0) - 1))
+
+    # k gap positions before, between and after the sequences hold id -1,
+    # which picks the last entry, the zero row, of every slot's row table.
+    def lay_out(seqs) -> tuple[dict[str, int], np.ndarray]:
+        ids, out = {}, [-1] * k
+        for seq in seqs:
+            out += [ids.setdefault(value, len(ids)) for value in seq] + [-1] * k
+        return ids, np.asarray(out, dtype=np.intp)
+
+    (vocab, token_at), (tags, tag_at) = lay_out(token_seqs), lay_out(pos_seqs)
+    at = np.flatnonzero(token_at >= 0)
+
+    local_lists = [identity + rest + [none] for identity, rest in map(model.local_rows, vocab)]
+    local = np.asarray([r for rows in local_lists for r in rows], dtype=np.intp)
+    sizes = np.asarray([len(rows) for rows in local_lists], dtype=np.intp)
+    local_starts = np.cumsum(sizes) - sizes
+
+    slots = [("w", off, vocab, token_at) for off in range(-k, k + 1) if off]
+    if model.config.use_pos:
+        slots += [("p", off, tags, tag_at) for off in range(-k, k + 1)]
+    window = np.empty((len(slots), at.size), dtype=np.intp)
+    for row, (kind, off, values, ids) in zip(window, slots):
+        rows = np.asarray([index.get(f"{kind}[{off}]={v}", none) for v in values] + [none])
+        row[:] = rows[ids[at + off]]
+    return token_at[at], local, local_starts, window
+
+
+def _emission_scores(emission_w, token, local, local_starts, window) -> np.ndarray:
+    """(labels x positions) scores of an ``_encode_tokens`` encoding.
+
+    The table is label-major, so every gather and segment sum runs along a
+    contiguous row; its last column is the zero row's.
+    """
+    table = np.zeros((emission_w.shape[1], emission_w.shape[0] + 1))
+    table[:, :-1] = emission_w.T
+    per_token = np.add.reduceat(table.take(local, axis=1), local_starts, axis=1)
+    emis_t = per_token.take(token, axis=1)
+    for slot in window:
+        emis_t += table.take(slot, axis=1)
+    return emis_t
 
 
 def _emissions(model: CrfModel, tokens: Sequence[str],
                pos: Sequence[str] | None) -> np.ndarray:
     """One sentence's (positions x labels) scores; ``pos`` defaults to pos_tag."""
-    if not tokens:
-        raise ValueError("sequence must be non-empty")
-    if pos is None:
-        pos = pos_tag(tokens)
-    rows_per_pos = _encode_positions(model, tokens, pos)
-    emission_w = model.emission_weights
-    emis = np.zeros((len(rows_per_pos), model.n_labels))
-    for t, rows in enumerate(rows_per_pos):
-        if rows.size:
-            emis[t] = emission_w[rows].sum(axis=0)
-    return emis
+    pos = pos_tag(tokens) if pos is None else pos
+    if not tokens or len(pos) != len(tokens):
+        raise ValueError("sequence must be non-empty, with one POS tag per token")
+    return _emission_scores(model.emission_weights, *_encode_tokens(model, [tokens], [pos])).T
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +293,7 @@ def log_forward_backward(model: CrfModel, tokens: Sequence[str],
 # ---------------------------------------------------------------------------
 
 class _Batch(NamedTuple):
-    """A training batch factored by token; see ``_encode_dataset``."""
+    """``_encode_tokens``'s four arrays, then the training rest; see ``_encode_dataset``."""
 
     token: np.ndarray
     local: np.ndarray
@@ -272,63 +307,37 @@ class _Batch(NamedTuple):
 
 
 def _encode_dataset(model: CrfModel, dataset: Sequence[Sequence[LabeledToken]]) -> _Batch:
-    """One training batch, with each distinct token's features encoded once.
+    """One training batch: ``_encode_tokens`` of the dataset plus labels and order.
 
-    Positions run in dataset order. ``token`` maps each position to its
-    vocabulary entry. ``local[local_starts[v]:local_starts[v + 1]]`` holds
-    entry v's identity, shape and n-gram rows, ended by the zero row
-    ``n_features``, so no segment is empty. ``window`` is ``(slots, positions)``:
-    each slot is one ``w[off]`` (off != 0) or ``p[off]`` feature, and holds
-    ``n_features`` where the offset leaves the sentence or the feature is
-    unknown. The emission gradient sums rows of ``[per-position marginals;
-    per-token sums]``: ``grad_rows`` holds them grouped by feature, group g
-    starting at ``grad_starts[g]`` for feature ``grad_features[g]``. ``y``
-    holds each position's gold label; ``steps`` is a ``(B, L)`` index from
-    sequence step to position, padded with -1, longest sequence first, so
-    the sequences still running at any step are a prefix of the rows.
+    Positions run in dataset order. The emission gradient sums rows of
+    ``[per-position marginals; per-token sums]``: ``grad_rows`` holds them
+    grouped by feature, group g starting at ``grad_starts[g]`` for feature
+    ``grad_features[g]``. ``y`` holds each position's gold label; ``steps``
+    is a ``(B, L)`` index from sequence step to position, padded with -1,
+    longest sequence first, so the sequences still running at any step are a
+    prefix of the rows.
     """
     label_index = {lab: i for i, lab in enumerate(model.labels)}
     try:
         y = np.fromiter((label_index[t.label] for seq in dataset for t in seq), np.intp)
     except KeyError as exc:
         raise ValueError(f"label {exc.args[0]!r} not in model label set") from None
-    vocab: dict[str, int] = {}
-    tags: dict[str, int] = {}
-    token = np.fromiter((vocab.setdefault(t.token, len(vocab))
-                         for seq in dataset for t in seq), np.intp)
-    tag = np.fromiter((tags.setdefault(t.pos, len(tags)) for seq in dataset for t in seq),
-                      np.intp)
-    n, none = token.size, model.n_features
+    token, local, local_starts, window = _encode_tokens(
+        model, [[t.token for t in seq] for seq in dataset],
+        [[t.pos for t in seq] for seq in dataset])
+    n, none = y.size, model.n_features
 
-    local_lists = [identity + rest + [none] for identity, rest in map(model.local_rows, vocab)]
-    local = np.asarray([r for rows in local_lists for r in rows], dtype=np.intp)
-    sizes = np.asarray([len(rows) for rows in local_lists], dtype=np.intp)
-    local_starts = np.cumsum(sizes) - sizes
-
-    lengths = np.asarray([len(seq) for seq in dataset], dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
-    offset_in_seq = np.arange(n) - np.repeat(starts, lengths)
-    seq_len = np.repeat(lengths, lengths)
-    k, index = model.config.window, model.feature_index
-    slots = [("w", off, vocab, token) for off in range(-k, k + 1) if off]
-    if model.config.use_pos:
-        slots += [("p", off, tags, tag) for off in range(-k, k + 1)]
-    window = np.full((len(slots), n), none, dtype=np.intp)
-    for row, (kind, off, values, ids) in zip(window, slots):
-        rows = np.asarray([index.get(f"{kind}[{off}]={v}", none) for v in values],
-                          dtype=np.intp)
-        inside = (offset_in_seq + off >= 0) & (offset_in_seq + off < seq_len)
-        row[inside] = rows[ids[np.flatnonzero(inside) + off]]
-
-    local_owner = np.repeat(np.arange(len(vocab)), sizes)
     in_window, in_local = window < none, local < none
     features = np.concatenate([window[in_window], local[in_local]])
+    # A local entry's owner is the count of zero rows, which end segments, before it.
     sources = np.concatenate([np.broadcast_to(np.arange(n), window.shape)[in_window],
-                              n + local_owner[in_local]])
+                              n + np.cumsum(~in_local)[in_local]])
     order = np.argsort(features, kind="stable")
     features, grad_rows = features[order], sources[order]
     grad_starts = np.flatnonzero(np.diff(features, prepend=-1))
 
+    lengths = np.asarray([len(seq) for seq in dataset], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
     order = np.argsort(-lengths, kind="stable")
     offsets = np.arange(lengths.max(initial=0))
     steps = np.where(offsets < lengths[order, None], starts[order, None] + offsets, -1)
@@ -349,20 +358,11 @@ def _encoded_nll_grad(weights: np.ndarray, n_features: int, n_labels: int,
     b = encoded
     y, steps = b.y, b.steps
     n_emit = n_features * n_labels
-    # Label-major (labels x features), so every gather and segment sum runs
-    # along a contiguous row. Column n_features is the zero column that
-    # absent features point at.
-    emission_t = np.zeros((n_labels, n_features + 1))
-    emission_t[:, :n_features] = weights[:n_emit].reshape(n_features, n_labels).T
     trans = weights[n_emit:].reshape(n_labels, n_labels)
     nll = 0.5 * l2_lambda * float(np.sum(weights * weights))
     grad = l2_lambda * weights
     if y.size:
-        per_token = np.add.reduceat(emission_t.take(b.local, axis=1), b.local_starts, axis=1)
-        emis_t = per_token.take(b.token, axis=1)
-        for slot in b.window:
-            emis_t += emission_t.take(slot, axis=1)
-        emis = emis_t.T
+        emis = _emission_scores(weights[:n_emit].reshape(n_features, n_labels), *b[:4]).T
         emis_max = emis.max(axis=1)
         trans_max = trans.max()
         expo_t = np.exp(trans - trans_max)

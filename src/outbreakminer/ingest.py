@@ -5,8 +5,9 @@ raw API record to the cache before returning, and record the completed query
 in a per-article index so a warm cache answers with zero network requests.
 Cache writes go through atomic renames of per-writer temp files, so
 concurrent readers never see a partial file and concurrent writers never
-share a temp file. A cache file that is not a JSON object raises CacheError
-naming the file.
+share a temp file. A cache file that is not a JSON object, an index whose
+queries are not lists of revision ids, or a record whose timestamp or id has
+the wrong type raises CacheError naming the file.
 """
 
 from __future__ import annotations
@@ -109,7 +110,13 @@ class RevisionCache:
         path = self.article_dir(title) / "index.json"
         if not path.exists():
             return {"article_title": title, "queries": {}}
-        return self._read(path)
+        index = self._read(path)
+        queries = index.get("queries")
+        for entry in queries.values() if isinstance(queries, dict) else [None]:
+            ids = entry.get("revision_ids") if isinstance(entry, dict) else None
+            if not isinstance(ids, list) or not all(type(rid) is int for rid in ids):
+                raise CacheError(f"corrupt cache file {path}: malformed query index")
+        return index
 
     def save_index(self, title: str, index: dict) -> None:
         self._atomic_write(self.article_dir(title) / "index.json", index)
@@ -123,7 +130,12 @@ class RevisionCache:
         for path in directory.glob("*.json"):
             if path.name == "index.json":
                 continue
-            records.append(self._read(path))
+            record = self._read(path)
+            # The sort below compares these fields across records.
+            if not (isinstance(record.get("timestamp", ""), str)
+                    and type(record.get("revid", 0)) is int):
+                raise CacheError(f"corrupt cache file {path}: timestamp or revid of wrong type")
+            records.append(record)
         records.sort(key=lambda r: (r.get("timestamp", ""), r.get("revid", 0)))
         return records
 
@@ -148,17 +160,20 @@ def revision_from_record(record: dict) -> ArticleRevision | None:
     if content is None:
         return None
     try:
+        if not isinstance(content, str):
+            raise TypeError(f"content is {type(content).__name__}, not a string")
         return ArticleRevision(
             revision_id=int(record["revid"]),
             parent_id=int(record["parentid"]) if record.get("parentid") else None,
             timestamp=_parse_api_timestamp(record["timestamp"]),
             editor=str(record.get("user", "")),
             comment=str(record.get("comment", "")),
-            wikitext=str(content),
+            wikitext=content,
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise PayloadError(
-            f"malformed revision record: {exc}", fragment=repr(record)[:400]
+            f"malformed revision record {record.get('revid')!r}: {exc}",
+            fragment=repr(record)[:400],
         ) from exc
 
 

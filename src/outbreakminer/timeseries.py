@@ -27,6 +27,10 @@ METRICS = ("cases", "deaths")
 # sparse to score against daily ground truth.
 DEFAULT_WINDOW_START = date(2014, 6, 30)
 
+# Longer date gaps stay unfilled: one far-off row date (a typo or vandalism)
+# would otherwise fill hundreds of thousands of days per series.
+MAX_FILL_GAP_DAYS = 366
+
 
 @dataclass
 class TimeSeries:
@@ -268,8 +272,9 @@ def extract_series(tables: list[RawTable], mapping: ColumnMapping = DEFAULT_MAPP
 def interpolate_daily(series: TimeSeries) -> TimeSeries:
     """Fill interior date gaps by linear interpolation; no extrapolation.
 
-    Original points are untouched; filled dates are recorded in
-    ``interpolated_dates``. Idempotent.
+    A gap longer than ``MAX_FILL_GAP_DAYS`` days is left unfilled; both of
+    its end points stay. Original points are untouched; filled dates are
+    recorded in ``interpolated_dates``. Idempotent.
     """
     if not series.points:
         raise ValueError("cannot interpolate an empty series")
@@ -279,6 +284,8 @@ def interpolate_daily(series: TimeSeries) -> TimeSeries:
     for (d0, v0), (d1, v1) in zip(known, known[1:]):
         points[d0] = v0
         span = (d1 - d0).days
+        if span > MAX_FILL_GAP_DAYS:
+            continue
         for step in range(1, span):
             day = d0 + timedelta(days=step)
             value = v0 + (v1 - v0) * step / span

@@ -221,6 +221,24 @@ class TestRmseCommand:
                    "--truth", str(ground_truth_path)) == 1
         assert f"corrupt cache file {record}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("timestamp", 5, "105.json"),
+        ("slots", {"main": {"content": ["x"]}}, "revision record 105: "),
+    ], ids=["int-timestamp", "list-content"])
+    @pytest.mark.parametrize("command", ["rmse", "corpus build"])
+    def test_mistyped_record_is_one_error_line(self, seeded_cache_dir, ground_truth_path,
+                                               tmp_path, capsys, command, field, value,
+                                               named):
+        record = RevisionCache(seeded_cache_dir).article_dir("Example outbreak") / "105.json"
+        record.write_text(json.dumps(dict(json.loads(record.read_text()), **{field: value})))
+        extra = (["--truth", str(ground_truth_path)] if command == "rmse"
+                 else ["--out", str(tmp_path / "corpus.tsv")])
+        assert run(*command.split(), "--cache", str(seeded_cache_dir),
+                   "--title", "Example outbreak", *extra) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+        assert not (tmp_path / "corpus.tsv").exists()
+
 
 class TestCorpusCommands:
     def test_build_writes_tsv(self, seeded_cache_dir, tmp_path):

@@ -123,27 +123,63 @@ class TestExtractFeatures:
             FeatureConfig(l2_lambda=-1.0)
 
     def test_encoded_rows_follow_extract_features(self):
-        # Decoding encodes through the per-token memo; extract_features is the
-        # reference, including which features a model does not know.
-        from outbreakminer.crf import _encode_positions
+        # extract_features is the reference, including which features a model
+        # does not know: a position reads its token's local segment and its
+        # window slots, less the zero row, and nothing else.
+        from outbreakminer.crf import _encode_tokens
 
         corpus = generate_labeled_corpus(40, seed=6)
-        cfg = FeatureConfig(max_ngram_len=4)
-        names: dict[str, None] = {}
-        for seq in corpus[:20]:
-            tokens, pos = [t.token for t in seq], [t.pos for t in seq]
-            for t in range(len(seq)):
-                names.update(dict.fromkeys(extract_features(tokens, pos, t, cfg)))
-        known = list(names)[::2]  # every other feature, so some are unknown
-        model = make_model(LABELS, known, np.zeros(len(known) * 7 + 49), **vars(cfg))
-        index = model.feature_index
-        for seq in corpus:
-            tokens, pos = [t.token for t in seq], [t.pos for t in seq]
-            expected = [[index[n] for n in extract_features(tokens, pos, t, cfg) if n in index]
-                        for t in range(len(seq))]
-            assert [r.tolist() for r in _encode_positions(model, tokens, pos)] == expected
-        identity_known = [bool(model.local_rows(t.token)[0]) for seq in corpus for t in seq]
-        assert any(identity_known) and not all(identity_known)
+        for cfg in (FeatureConfig(max_ngram_len=4),
+                    FeatureConfig(max_ngram_len=2, window=30, use_shape=False)):
+            names: dict[str, None] = {}
+            for seq in corpus[:20]:
+                tokens, pos = [t.token for t in seq], [t.pos for t in seq]
+                for t in range(len(seq)):
+                    names.update(dict.fromkeys(extract_features(tokens, pos, t, cfg)))
+            known = list(names)[::2]  # every other feature, so some are unknown
+            model = make_model(LABELS, known, np.zeros(len(known) * 7 + 49), **vars(cfg))
+            index, none = model.feature_index, model.n_features
+            token, local, local_starts, window = _encode_tokens(
+                model, [[t.token for t in seq] for seq in corpus],
+                [[t.pos for t in seq] for seq in corpus])
+            ends = np.append(local_starts[1:], local.size)
+            position = 0
+            for seq in corpus:
+                tokens, pos = [t.token for t in seq], [t.pos for t in seq]
+                for t in range(len(seq)):
+                    v = token[position]
+                    rows = local[local_starts[v]:ends[v]].tolist() + window[:, position].tolist()
+                    expected = [index[n] for n in extract_features(tokens, pos, t, cfg)
+                                if n in index]
+                    assert sorted(r for r in rows if r != none) == sorted(expected)
+                    position += 1
+            assert position == token.size
+            identity_known = [bool(model.local_rows(t.token)[0]) for seq in corpus for t in seq]
+            assert any(identity_known) and not all(identity_known)
+
+    def test_batch_encoding_matches_each_sentence_alone(self):
+        # Sentences encoded together score bit for bit as they do alone,
+        # including ones shorter than the window.
+        from outbreakminer.crf import _emission_scores, _emissions, _encode_tokens
+
+        corpus = generate_labeled_corpus(30, seed=8)
+        cfg = FeatureConfig(max_ngram_len=3, window=2)
+        model = train(corpus, cfg, max_iter=1)
+        model.weights[:] = np.random.default_rng(8).normal(size=model.weights.size)
+        sentences = [[(t.token, t.pos) for t in seq] for seq in corpus[20:]]
+        sentences += [[("died", "VERB")], [("two", "NUM"), ("died", "VERB")],
+                      [("unseen", "OTHER")]]
+        token_seqs = [[tok for tok, _ in s] for s in sentences]
+        pos_seqs = [[tag for _, tag in s] for s in sentences]
+        together = _emission_scores(model.emission_weights,
+                                    *_encode_tokens(model, token_seqs, pos_seqs)).T
+        lengths = [len(s) for s in sentences]
+        assert {1, 2} <= set(lengths) and max(lengths) > 5
+        parts = np.split(together, np.cumsum(lengths)[:-1])
+        for tokens, pos, part in zip(token_seqs, pos_seqs, parts):
+            alone = _emissions(model, tokens, pos)
+            assert alone.shape == part.shape
+            assert alone.tobytes() == np.ascontiguousarray(part).tobytes()
 
 
 class TestForwardBackward:
@@ -189,6 +225,15 @@ class TestForwardBackward:
         model = make_model(LABELS, ["w[0]=x"], np.zeros(7 + 49))
         with pytest.raises(ValueError):
             log_forward_backward(model, [], [])
+
+    @pytest.mark.parametrize("pos", [["N"], ["N", "N", "N"]], ids=["short", "long"])
+    def test_pos_length_mismatch_rejected(self, pos):
+        model = make_model(LABELS, ["w[0]=x", "p[0]=N"], np.zeros(2 * 7 + 49), window=2,
+                           use_pos=True)
+        with pytest.raises(ValueError, match="one POS tag per token"):
+            log_forward_backward(model, ["x", "x"], pos)
+        with pytest.raises(ValueError, match="one POS tag per token"):
+            viterbi(model, ["x", "x"], pos)
 
 
 class TestObjective:
@@ -368,6 +413,26 @@ class TestTrain:
         assert record.args[4] == "line_search" and log == []
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1 and caplog.records[-2] is warnings[0]
+
+    def test_window_beyond_longest_sentence_is_clipped(self, tmp_path):
+        # Offsets past the longest sentence never land on a token, so a huge
+        # window trains and tags exactly as the longest useful one does.
+        import time
+
+        corpus = toy_corpus(6)
+        started = time.perf_counter()
+        huge = train(corpus, FeatureConfig(max_ngram_len=2, window=10 ** 6), max_iter=40)
+        assert time.perf_counter() - started < 1.0
+        longest = train(corpus, FeatureConfig(max_ngram_len=2, window=2), max_iter=40)
+        assert huge.feature_names == longest.feature_names
+        assert np.array_equal(huge.weights, longest.weights)
+        path = tmp_path / "model.tsv"
+        save_model(huge, path)
+        loaded = load_model(path)
+        assert loaded.config.window == 10 ** 6
+        for tokens, pos in ([["the", "person3", "died"], ["DET", "OTHER", "VERB"]],
+                            [["died"], ["VERB"]]):
+            assert viterbi(loaded, tokens, pos) == viterbi(longest, tokens, pos)
 
     @pytest.mark.parametrize("cfg", [
         FeatureConfig(),

@@ -155,6 +155,15 @@ class TestRevisionFromRecord:
             revision_from_record({"revid": "not-an-int", "timestamp": "bad",
                                   "slots": {"main": {"content": "x"}}})
 
+    @pytest.mark.parametrize("field, value", [
+        ("timestamp", 5), ("content", ["x"]), ("content", {"text": "x"}),
+    ], ids=["int-timestamp", "list-content", "dict-content"])
+    def test_mistyped_field_is_payload_error_naming_revision(self, field, value):
+        record = {"revid": 5, "timestamp": "2014-01-01T00:00:00Z", "content": "x",
+                  field: value}
+        with pytest.raises(PayloadError, match="revision record 5: "):
+            revision_from_record(record)
+
 
 def rev_at(revision_id, when):
     return ArticleRevision(
@@ -237,6 +246,37 @@ class TestCacheFiles:
                           "not_utf8": b'{"revid": "\xff"}'}[damage])
         with pytest.raises(CacheError, match=re.escape(str(path))):
             read(cache)
+
+    @pytest.mark.parametrize("queries", [
+        None, [], {"*..*": {"skipped_suppressed": 0}}, {"*..*": {"revision_ids": 5}},
+        {"*..*": {"revision_ids": ["../901"]}}, {"*..*": ["901"]},
+    ], ids=["missing", "list", "no-ids", "int-ids", "str-id", "entry-list"])
+    def test_malformed_index_is_cache_error_naming_it(self, api_pages, tmp_path, queries):
+        get_json, state = replay(api_pages)
+        cache = RevisionCache(tmp_path)
+        fetch_revisions(quiet_query(), cache, get_json=get_json)
+        path = cache.article_dir("Example outbreak") / "index.json"
+        index = json.loads(path.read_text(encoding="utf-8"))
+        if queries is None:
+            del index["queries"]
+        else:
+            index["queries"] = queries
+        path.write_text(json.dumps(index), encoding="utf-8")
+        with pytest.raises(CacheError, match=re.escape(str(path))):
+            fetch_revisions(quiet_query(), cache, get_json=get_json)
+        assert state["calls"] == 3
+
+    @pytest.mark.parametrize("field, value", [("timestamp", 5), ("revid", "901")])
+    def test_mistyped_sort_field_is_cache_error_naming_it(self, api_pages, tmp_path,
+                                                          field, value):
+        get_json, _ = replay(api_pages)
+        cache = RevisionCache(tmp_path)
+        fetch_revisions(quiet_query(), cache, get_json=get_json)
+        path = cache.article_dir("Example outbreak") / "901.json"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(dict(record, **{field: value})), encoding="utf-8")
+        with pytest.raises(CacheError, match=re.escape(str(path))):
+            load_cached_revisions(cache, "Example outbreak")
 
     def test_interleaved_writers_each_leave_a_complete_file(self, monkeypatch, tmp_path):
         cache = RevisionCache(tmp_path)

@@ -129,6 +129,28 @@ class TestInterpolateDaily:
         with pytest.raises(ValueError):
             interpolate_daily(TimeSeries(country="X", metric="cases"))
 
+    def test_gap_over_a_year_left_unfilled(self):
+        s = series(**{"2014_01_01": 0, "2015_01_02": 366, "2016_01_04": 0})
+        out = interpolate_daily(s)
+        assert len(out.interpolated_dates) == 365
+        assert max(out.interpolated_dates) == D(2015, 1, 1)
+        assert all(out.points[d] == v for d, v in s.points.items())
+
+    def test_far_off_table_date_fills_nothing(self):
+        import time
+
+        text = ("{|\n! Date !! Guinea cases !! Guinea deaths !! Liberia cases !! Liberia deaths"
+                "\n|-\n| 1 January 0001 || 1 || 2 || 3 || 4"
+                "\n|-\n| 30 June 2014 || 10 || 20 || 30 || 40\n|}")
+        extracted = extract_series(parse_tables(text))
+        assert len(extracted) == 4
+        started = time.perf_counter()
+        filled = [interpolate_daily(s) for s in extracted]
+        assert time.perf_counter() - started < 1.0
+        for before, after in zip(extracted, filled):
+            assert after.points == before.points and not after.interpolated_dates
+            assert sorted(after.points) == [D(1, 1, 1), D(2014, 6, 30)]
+
     @given(st.lists(
         st.tuples(st.integers(0, 40), st.floats(0, 1e6, allow_nan=False)),
         min_size=1, max_size=8, unique_by=lambda t: t[0],
