@@ -464,13 +464,15 @@ def extract_revision_series(revisions, mapping: ColumnMapping = DEFAULT_MAPPING,
 
     Revisions yielding no series (no matching table) contribute nothing.
     With ``interpolate`` the series are filled to daily granularity, ready
-    for dedup and scoring.
+    for dedup and scoring. One line memo serves every revision, so each
+    distinct table line is parsed once per call.
     """
     from .wikitext import parse_tables
 
+    memo: dict = {}
     sets: list[RevisionSeries] = []
     for rev in revisions:
-        tables = parse_tables(rev.wikitext, revision_id=rev.revision_id)
+        tables = parse_tables(rev.wikitext, revision_id=rev.revision_id, memo=memo)
         series = extract_series(tables, mapping, revision_id=rev.revision_id)
         if not series:
             continue

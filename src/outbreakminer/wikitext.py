@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 logger = logging.getLogger(__name__)
 
@@ -130,15 +131,16 @@ def _replace_balanced(text: str, open_tok: str, tokens: re.Pattern, label: str,
 
 
 # A table opener directly after "{" or a closer directly before "}" is
-# template syntax, not a table marker.
-_TABLE_TOKEN = re.compile(r"(?<!\{)\{\||\|\}(?!\})")
+# template syntax, not a table marker. Each alternative starts with its
+# literal, so the scan can skip ahead to the next "{|" or "|}".
+_TABLE_TOKEN = re.compile(r"\{\|(?<!\{\{\|)|\|\}(?!\})")
 
 
 def _find_table_spans(text: str) -> list[tuple[int, int, int]]:
-    """Locate ``{| ... |}`` blocks as (start, end, depth).
+    """Locate ``{| ... |}`` blocks as (start, end, depth), in closing order.
 
     ``end`` is the offset just past the closing ``|}``. Unclosed blocks run
-    to end of text.
+    to end of text; one warning per scan names how many there are.
     """
     spans = []
     stack = []
@@ -148,18 +150,30 @@ def _find_table_spans(text: str) -> list[tuple[int, int, int]]:
         elif stack:
             start = stack.pop()
             spans.append((start, match.end(), len(stack)))
+    if stack:
+        logger.warning("%d unclosed table block(s), outermost at offset %d; dropping to end",
+                       len(stack), stack[0])
     while stack:
         start = stack.pop()
-        logger.warning("unclosed table block at offset %d; dropping to end", start)
         spans.append((start, len(text), len(stack)))
     return spans
 
 
-def _remove_tables(text: str) -> str:
-    spans = [(s, e) for s, e, depth in _find_table_spans(text) if depth == 0]
-    for start, end in sorted(spans, reverse=True):
-        text = text[:start] + text[end:]
-    return text
+def _outer_table_spans(text: str) -> list[tuple[int, int]]:
+    """(start, end) of every outermost table block, in document order."""
+    return sorted((s, e) for s, e, depth in _find_table_spans(text) if depth == 0)
+
+
+def _splice(text: str, spans, fills, start: int = 0, end: int | None = None) -> str:
+    """``text[start:end]`` with each of the sorted, disjoint ``spans`` inside it
+    replaced by the next string from ``fills``, built in one join."""
+    out = []
+    pos = start
+    for (s, e), fill in zip(spans, fills):
+        out += (text[pos:s], fill)
+        pos = e
+    out.append(text[pos:end])
+    return "".join(out)
 
 
 def _link_text(inner: str) -> str:
@@ -221,18 +235,16 @@ def strip_markup(wikitext: str, remove_tables: bool = True) -> str:
         # Shelve table blocks untouched so no other rule can alter them. The
         # input loses its NULs first, so it cannot forge a placeholder.
         wikitext = wikitext.replace("\x00", "")
-        spans = sorted((s, e) for s, e, d in _find_table_spans(wikitext) if d == 0)
+        spans = _outer_table_spans(wikitext)
         table_blocks = [wikitext[s:e] for s, e in spans]
-        for idx in range(len(spans) - 1, -1, -1):
-            s, e = spans[idx]
-            wikitext = wikitext[:s] + f"\x00T{idx}\x00" + wikitext[e:]
+        wikitext = _splice(wikitext, spans, (f"\x00T{idx}\x00" for idx in range(len(spans))))
 
     text = _remove_comments(wikitext)
     text = _REF.sub(_drop_ref, text)
     text = _GALLERY.sub("", text)
     text = _replace_balanced(text, "{{", _TEMPLATE_TOKEN, "template", lambda inner: "")
     if remove_tables:
-        text = _remove_tables(text)
+        text = _splice(text, _outer_table_spans(text), repeat(""))
     text = _HEADING.sub(r"\1", text)
     text = _replace_balanced(text, "[[", _LINK_TOKEN, "[[", _link_text)
     text = _EXTERNAL_LINK.sub(lambda m: m.group(1) or "", text)
@@ -314,11 +326,35 @@ def _expand_spans(cell_rows: list[list[tuple[str, int, int]]]) -> list[list[str]
     return grid
 
 
-def _parse_table_block(block: str, offset: int, revision_id=None) -> RawTable | None:
+Cell = tuple[str, int, int]  # (clean text, rowspan, colspan)
+
+
+def _line_cells(text: str, memo: dict[str, tuple[Cell, ...]]) -> tuple[Cell, ...]:
+    """The parsed cells of one stripped table line, looked up in ``memo`` first.
+
+    A ``!`` line splits at ``!!`` and ``||``, a ``|`` line at ``||``; any other
+    line is one cell's continuation text. The first character fixes the kind,
+    so one text always parses the same way.
+    """
+    cells = memo.get(text)
+    if cells is None:
+        if text[0] == "!":
+            chunks = _split_protected(text[1:], ("!!", "||"))
+        elif text[0] == "|":
+            chunks = _split_protected(text[1:], ("||",))
+        else:
+            chunks = [text]
+        cells = memo[text] = tuple(_parse_cell(chunk.strip()) for chunk in chunks)
+    return cells
+
+
+def _parse_table_block(block: str, offset: int,
+                       memo: dict[str, tuple[Cell, ...]]) -> RawTable | None:
     """Parse one table block (nested tables already blanked out).
 
     Rows break at ``|-`` only, matching MediaWiki semantics; ``!`` and ``|``
     lines add cells to the current row. The first grid row is the header.
+    A block without rows gives None.
     """
     body = block
     if body.startswith("{|"):
@@ -328,53 +364,33 @@ def _parse_table_block(block: str, offset: int, revision_id=None) -> RawTable | 
         body = stripped_tail[:-2]
     lines = body.split("\n")[1:]  # everything on the {| line is attributes
 
-    cell_rows: list[list[tuple[str, int, int]]] = []
-    current: list[tuple[str, int, int]] | None = None
-
-    def flush():
-        nonlocal current
-        if current:
-            cell_rows.append(current)
-        current = None
-
+    cell_rows: list[list[Cell]] = []
+    current: list[Cell] | None = None
     for line in lines:
         text = line.strip()
-        if not text:
+        if not text or text.startswith("|+"):  # blank or caption
             continue
         if text.startswith("|-"):
-            flush()
-        elif text.startswith("|+"):
-            continue  # caption
-        elif text.startswith("!"):
+            if current:
+                cell_rows.append(current)
+            current = None
+        elif text[0] in "!|":
             if current is None:
                 current = []
-            for chunk in _split_protected(text[1:], ("!!", "||")):
-                current.append(_parse_cell(chunk.strip()))
-        elif text.startswith("|"):
-            if current is None:
-                current = []
-            for chunk in _split_protected(text[1:], ("||",)):
-                current.append(_parse_cell(chunk.strip()))
+            current.extend(_line_cells(text, memo))
         elif current:
             # Continuation of the previous cell's content.
             prev_text, rs, cs = current[-1]
-            extra, _, _ = _parse_cell(text)
+            extra = _line_cells(text, memo)[0][0]
             current[-1] = ((prev_text + " " + extra).strip(), rs, cs)
-    flush()
+    if current:
+        cell_rows.append(current)
 
     if not cell_rows:
-        logger.warning(
-            "skipping table with no rows (revision %s, offset %d)", revision_id, offset
-        )
         return None
     grid = _expand_spans(cell_rows)
-    header = grid[0]
+    header = grid[0]  # every row holds at least one cell
     width = len(header)
-    if width == 0:
-        logger.warning(
-            "skipping table with empty header (revision %s, offset %d)", revision_id, offset
-        )
-        return None
     rows = []
     for row in grid[1:]:
         if len(row) < width:
@@ -383,26 +399,45 @@ def _parse_table_block(block: str, offset: int, revision_id=None) -> RawTable | 
     return RawTable(header=header, rows=rows, source_span=(offset, offset + len(block)))
 
 
-def parse_tables(wikitext: str, revision_id: int | None = None) -> list[RawTable]:
+def parse_tables(wikitext: str, revision_id: int | None = None, *,
+                 memo: dict[str, tuple[Cell, ...]] | None = None) -> list[RawTable]:
     """Extract every well-formed table as a RawTable, in document order.
 
     Nested tables yield their own RawTable; their markup is blanked out of
-    the enclosing block so outer cells stay clean. Malformed blocks are
-    skipped with a warning, never raised.
+    the enclosing block so outer cells stay clean. Blocks without rows are
+    skipped, never raised; one warning per call counts them.
+
+    ``memo`` maps each stripped table line to its parsed cells. Passing one
+    dict to every revision of a history parses each distinct line once;
+    without it each call starts from an empty dict.
     """
-    spans = _find_table_spans(wikitext)
-    results: list[tuple[int, RawTable]] = []
-    for start, end, depth in sorted(spans, key=lambda s: -s[2]):
-        block = wikitext[start:end]
-        for s2, e2, d2 in spans:
-            if s2 > start and e2 <= end and d2 > depth:
-                rel_s, rel_e = s2 - start, e2 - start
-                block = block[:rel_s] + " " * (rel_e - rel_s) + block[rel_e:]
-        table = _parse_table_block(block, start, revision_id)
-        if table is not None:
-            results.append((start, table))
-    results.sort(key=lambda pair: pair[0])
-    return [table for _, table in results]
+    if memo is None:
+        memo = {}
+    spans = sorted(_find_table_spans(wikitext))
+    # Blocks nest, so one stack pass in start order finds each block's direct
+    # children; blanking those blanks every deeper table too.
+    children: list[list[tuple[int, int]]] = [[] for _ in spans]
+    enclosing: list[int] = []
+    for idx, (start, end, _) in enumerate(spans):
+        while enclosing and spans[enclosing[-1]][1] <= start:
+            enclosing.pop()
+        if enclosing:
+            children[enclosing[-1]].append((start, end))
+        enclosing.append(idx)
+
+    tables: list[RawTable] = []
+    skipped: list[int] = []
+    for (start, end, _), inner in zip(spans, children):
+        block = _splice(wikitext, inner, (" " * (e - s) for s, e in inner), start, end)
+        table = _parse_table_block(block, start, memo)
+        if table is None:
+            skipped.append(start)
+        else:
+            tables.append(table)
+    if skipped:
+        logger.warning("skipping %d table(s) with no rows (revision %s, first at offset %d)",
+                       len(skipped), revision_id, skipped[0])
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,21 @@
+import re
 import string
+import time
+from datetime import date, datetime
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outbreakminer.ingest import ArticleRevision
+from outbreakminer.timeseries import (
+    RevisionSeries,
+    extract_revision_series,
+    extract_series,
+    interpolate_daily,
+)
 from outbreakminer.wikitext import (
+    _TABLE_TOKEN,
     _find_table_spans,
     _parse_cell,
     _sentence_spans,
@@ -104,6 +115,13 @@ class TestStripMarkup:
     def test_kept_table_not_swallowed_by_tag_or_url(self, text):
         assert KEPT_TABLE in strip_markup(text, remove_tables=False)
 
+    def test_many_tables_stay_fast(self):
+        text = "a{||}\n" * 32000
+        started = time.perf_counter()
+        assert strip_markup(text) == "a\n" * 32000
+        assert strip_markup(text, remove_tables=False) == text
+        assert time.perf_counter() - started < 1.0
+
     def test_idempotent_on_fixtures(self):
         for fixture in STRIP_FIXTURES:
             once = strip_markup(fixture)
@@ -165,6 +183,23 @@ class TestParseTables:
         # No rows at all: skipped with a warning, never aborts.
         assert parse_tables("{| class=broken\n|}") == []
 
+    def test_deep_unclosed_nesting_stays_fast(self):
+        started = time.perf_counter()
+        assert parse_tables("{|\n" * 4000) == []
+        assert time.perf_counter() - started < 1.0
+
+    def test_one_warning_line_per_call(self, caplog):
+        text = "{|\n" * 1000
+        assert strip_markup(text) == ""
+        assert [r.getMessage() for r in caplog.records] == [
+            "1000 unclosed table block(s), outermost at offset 0; dropping to end"]
+        caplog.clear()
+        assert parse_tables("{|\n|}\n" + text, revision_id=4) == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "1000 unclosed table block(s), outermost at offset 6; dropping to end",
+            "skipping 1001 table(s) with no rows (revision 4, first at offset 0)",
+        ]
+
     @given(
         n_cols=st.integers(1, 4),
         rows=st.lists(
@@ -204,6 +239,14 @@ class TestScanners:
     ])
     def test_find_table_spans(self, text, spans):
         assert _find_table_spans(text) == spans
+
+    @given(st.lists(st.sampled_from(["{", "|", "}", "x", "{|", "|}", "\n"]), max_size=40)
+           .map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_table_token_matches_lookbehind_first_pattern(self, text):
+        oracle = re.compile(r"(?<!\{)\{\||\|\}(?!\})")
+        assert ([m.span() for m in _TABLE_TOKEN.finditer(text)]
+                == [m.span() for m in oracle.finditer(text)])
 
     @pytest.mark.parametrize("text, seps, parts", [
         ("[[a|b]]|c", ("|",), ["[[a|b]]", "c"]),
@@ -245,6 +288,71 @@ class TestSpanLimits:
         for table in parse_tables(text):
             for row in [table.header, *table.rows]:
                 assert len(row) <= 1000 * raw_cells
+
+
+def _revisions(texts):
+    return [ArticleRevision(revision_id=idx, parent_id=None, timestamp=datetime(2014, 7, 1),
+                            editor="", comment="", wikitext=text)
+            for idx, text in enumerate(texts)]
+
+
+_DAY = st.dates(date(2014, 3, 1), date(2014, 12, 31)).map(lambda d: f"{d.day} {d:%B} {d.year}")
+_COUNT = st.integers(0, 20000).map(str)
+# Row texts a revision draws from, so rows repeat across revisions: date rows,
+# rowspans that carry into the next row, one cell per line, continuation
+# lines, nested tables and random markup. Every pool also holds one text as
+# a header, a data and a continuation line.
+_ROW = st.one_of(
+    st.builds("| {} || {} || {}".format, _DAY, _COUNT, _COUNT),
+    st.builds("| rowspan=2 | {} || {} || {}".format, _DAY, _COUNT, _COUNT),
+    st.builds("| {}\n| {}".format, _COUNT, _COUNT),
+    st.builds("| {}\n| {}\n{}".format, _DAY, _COUNT, st.sampled_from(["000", "more", "[[x]]"])),
+    st.builds("| {} {{|\n! Inner\n|-\n| {}\n|}}".format, _DAY, _COUNT),
+    st.lists(st.sampled_from(MARKUP_TOKENS), max_size=12).map(lambda t: "| " + "".join(t)),
+)
+
+
+@st.composite
+def _histories(draw):
+    pool = draw(st.lists(_ROW, max_size=6)) + ["! 5 !! 7", "| 5 !! 7", "| 1 July 2014\n5 !! 7"]
+    texts = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows = draw(st.lists(st.sampled_from(pool), max_size=8))
+        table = "{| class=wikitable\n! Date !! Guinea cases !! Guinea deaths\n|-\n"
+        texts.append("lead\n" + table + "\n|-\n".join(rows) + "\n|}\ntail")
+    return texts
+
+
+class TestRowMemo:
+    @given(_histories())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_memo_equals_fresh_parse(self, texts):
+        memo = {}
+        for idx, text in enumerate(texts):
+            assert (parse_tables(text, revision_id=idx, memo=memo)
+                    == parse_tables(text, revision_id=idx))
+        revisions = _revisions(texts)
+        expected = []
+        for rev in revisions:
+            series = extract_series(parse_tables(rev.wikitext, revision_id=rev.revision_id),
+                                    revision_id=rev.revision_id)
+            if series:
+                series = sorted((interpolate_daily(s) for s in series),
+                                key=lambda s: (s.country, s.metric))
+                expected.append(RevisionSeries(rev.revision_id, rev.timestamp, series))
+        assert extract_revision_series(revisions) == expected
+
+    def test_repeated_malformed_cell_warns_once_per_run(self, caplog):
+        table = ("{|\n! Date !! Guinea cases\n|-\n| 1 July 2014 || 5\n"
+                 "|-\n| 2 July 2014 || 7 {{broken\n|}")
+        revisions = _revisions([table] * 4)
+        extract_revision_series(revisions)
+        unclosed = [r for r in caplog.records if "unclosed template" in r.getMessage()]
+        assert len(unclosed) == 1
+        caplog.clear()
+        for rev in revisions:
+            parse_tables(rev.wikitext)
+        assert sum("unclosed template" in r.getMessage() for r in caplog.records) == 4
 
 
 class TestSentences:
