@@ -199,6 +199,11 @@ def trigram_jaccard(a: str, b: str) -> float:
     return _jaccard(char_trigrams(a), char_trigrams(b))
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+
+
 def dedup_sentences(sentences: Sequence, threshold: float = 0.75,
                     key: Callable | None = None) -> list:
     """Greedy near-duplicate filter in input order.
@@ -215,21 +220,31 @@ def dedup_sentences(sentences: Sequence, threshold: float = 0.75,
     the single key None, which meets exactly the retained empty sets. A new
     item is compared only with the retained items whose prefix shares a key
     with its own.
+
+    Each distinct text's trigrams are computed once. Below threshold 1 an
+    exact repeat of an earlier text is dropped without a comparison: J = 1
+    with the text it repeats if that was retained, or with the retained text
+    that turned it away, and the retained set only grows.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    _check_threshold(threshold)
     items = list(sentences)
     texts = [key(item) for item in items] if key is not None else items
+    trigrams = {text: char_trigrams(text) for text in set(texts)}
     frequency: Counter[str] = Counter()
     for text in texts:
-        frequency.update(char_trigrams(text))
+        frequency.update(trigrams[text])
     rank = {gram: r for r, gram in
             enumerate(sorted(frequency, key=lambda g: (frequency[g], g)))}
     retained = []
     retained_sets: list[set[str]] = []
     index: dict[str | None, list[int]] = defaultdict(list)
+    seen: set[str] = set()  # stays empty at threshold 1, where repeats are kept
     for item, text in zip(items, texts):
-        grams = char_trigrams(text)
+        if text in seen:
+            continue
+        if threshold < 1.0:
+            seen.add(text)
+        grams = trigrams[text]
         n = len(grams)
         ranked = sorted(grams, key=rank.__getitem__) or [None]
         prefix = ranked[:n - math.floor(threshold * n) + 1]
@@ -447,14 +462,21 @@ def build_corpus(revisions: Sequence, threshold: float = 0.75) -> list[list[Labe
     For each successive revision pair: strip markup (tables removed), take
     the line diff's added lines, split them into sentences, then
     near-duplicate-filter the whole collection in order and POS-tag.
-    Empty (blanked) revisions are skipped.
+    Empty (blanked) revisions are skipped. A threshold outside [0, 1] (or
+    NaN) is rejected before any revision is stripped.
+
+    One ``strip_markup`` memo serves the whole call, so each distinct
+    paragraph is stripped once; ``dedup_sentences`` computes each distinct
+    sentence's trigrams once. The corpus is the same as without either.
     """
+    _check_threshold(threshold)
     sentences: list[Sentence] = []
+    strip_memo: dict[str, str | None] = {}
     prev_plain: str | None = None
     for rev in revisions:
         if not rev.wikitext:
             continue
-        plain = strip_markup(rev.wikitext, remove_tables=True)
+        plain = strip_markup(rev.wikitext, remove_tables=True, memo=strip_memo)
         if prev_plain is not None:
             diff = line_diff(prev_plain, plain)
             for line in diff.added_lines:

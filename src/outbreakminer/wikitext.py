@@ -65,12 +65,13 @@ class Sentence:
 _COMMENT = re.compile(r"<!--.*?-->", re.DOTALL)
 
 # A ref runs to the first ">" and then, unless self-closing, to the first
-# "</ref" and its ">" (or end of text). Without "</ref" or without any ">"
-# it drops to end of line; those two cases are logged. Only "ref" ignores
-# case: a literal "<" up front lets the scan skip ahead to each "<".
+# "</ref" and its ">" (or end of text, the "at_end" group). Without "</ref"
+# or without any ">" it drops to end of line; those two cases are logged.
+# Only "ref" ignores case: a literal "<" up front lets the scan skip ahead
+# to each "<".
 _REF = re.compile(
     r"<(?i:ref)(?:[^>]*/>"
-    r"|[^>]*>.*?</(?i:ref)[^>]*(?:>|\Z)"
+    r"|[^>]*>.*?</(?i:ref)[^>]*(?:>|(?P<at_end>\Z))"
     r"|(?P<no_close>[^>]*>[^\n]*)"
     r"|(?P<no_gt>[^\n]*))",
     re.DOTALL,
@@ -84,29 +85,44 @@ _TEMPLATE_TOKEN = re.compile(r"\{\{|\}\}")
 _LINK_TOKEN = re.compile(r"\[\[|\]\]")
 
 
-def _remove_comments(text: str) -> str:
+class _Spill(Exception):
+    """A paragraph's markup may reach past its end, so it cannot be stripped alone."""
+
+
+def _spill(*_args) -> None:
+    """The ``warn`` of a paragraph stripped alone: any warning means a spill."""
+    raise _Spill
+
+
+def _remove_comments(text: str, warn) -> str:
     out = _COMMENT.sub("", text)
     # An unterminated comment swallows the rest of the text.
     idx = out.find("<!--")
     if idx != -1:
-        logger.warning("unterminated HTML comment at offset %d; dropping tail", idx)
+        warn("unterminated HTML comment at offset %d; dropping tail", idx)
         out = out[:idx]
     return out
 
 
 def _drop_ref(match: re.Match) -> str:
-    if match.lastgroup:
+    if match.lastgroup in _REF_WARNINGS:
         logger.warning(_REF_WARNINGS[match.lastgroup], match.start())
     return ""
 
 
+def _drop_ref_alone(match: re.Match) -> str:
+    if match.lastgroup:  # a logged case, or a closing tag that runs to the end
+        raise _Spill
+    return ""
+
+
 def _replace_balanced(text: str, open_tok: str, tokens: re.Pattern, label: str,
-                      replace) -> str:
+                      replace, warn=logger.warning) -> str:
     """Replace every outermost open_tok...closer region with replace(inner).
 
     ``tokens`` matches open_tok and its closer. Nesting-aware. An unclosed
-    opener drops through to end of text (logged); stray closers are left
-    alone.
+    opener drops through to end of text (passed to ``warn``); stray closers
+    are left alone.
     """
     if open_tok not in text:  # most table cells carry no markup
         return text
@@ -124,7 +140,7 @@ def _replace_balanced(text: str, open_tok: str, tokens: re.Pattern, label: str,
                 out.append(replace(text[start + len(open_tok):match.start()]))
                 pos = match.end()
     if depth:
-        logger.warning("unclosed %s at offset %d; dropping to end", label, start)
+        warn("unclosed %s at offset %d; dropping to end", label, start)
     else:
         out.append(text[pos:])
     return "".join(out)
@@ -136,7 +152,7 @@ def _replace_balanced(text: str, open_tok: str, tokens: re.Pattern, label: str,
 _TABLE_TOKEN = re.compile(r"\{\|(?<!\{\{\|)|\|\}(?!\})")
 
 
-def _find_table_spans(text: str) -> list[tuple[int, int, int]]:
+def _find_table_spans(text: str, warn=logger.warning) -> list[tuple[int, int, int]]:
     """Locate ``{| ... |}`` blocks as (start, end, depth), in closing order.
 
     ``end`` is the offset just past the closing ``|}``. Unclosed blocks run
@@ -151,17 +167,17 @@ def _find_table_spans(text: str) -> list[tuple[int, int, int]]:
             start = stack.pop()
             spans.append((start, match.end(), len(stack)))
     if stack:
-        logger.warning("%d unclosed table block(s), outermost at offset %d; dropping to end",
-                       len(stack), stack[0])
+        warn("%d unclosed table block(s), outermost at offset %d; dropping to end",
+             len(stack), stack[0])
     while stack:
         start = stack.pop()
         spans.append((start, len(text), len(stack)))
     return spans
 
 
-def _outer_table_spans(text: str) -> list[tuple[int, int]]:
+def _outer_table_spans(text: str, warn) -> list[tuple[int, int]]:
     """(start, end) of every outermost table block, in document order."""
-    return sorted((s, e) for s, e, depth in _find_table_spans(text) if depth == 0)
+    return sorted((s, e) for s, e, depth in _find_table_spans(text, warn) if depth == 0)
 
 
 def _splice(text: str, spans, fills, start: int = 0, end: int | None = None) -> str:
@@ -221,40 +237,109 @@ _LIST_MARKER = re.compile(r"^[*#:;]+\s*", re.MULTILINE)
 _TABLE_MARKER = re.compile(r"\x00T(\d+)\x00")
 
 
-def strip_markup(wikitext: str, remove_tables: bool = True) -> str:
-    """Reduce wikitext to plain prose.
+# Checks for a paragraph stripped alone; see _strip.
+_GALLERY_OPEN = re.compile(r"<gallery\b", re.IGNORECASE)
+_URL_RUN = re.compile(r"\[(?:https?|ftp)://[^\s\x00]*")
+_MARKERS = re.compile(r"[*#:;]+")
 
-    Templates, refs (with contents), comments, heading/emphasis/list markers
-    and link syntax are removed; piped and external links keep their display
-    text. With ``remove_tables`` every ``{| ... |}`` block is dropped;
-    otherwise table blocks pass through verbatim and NUL characters are
-    dropped. Total function: never raises on malformed input.
+
+def _url_spills(text: str) -> bool:
+    """Whether an external link's match could need text past the end of ``text``.
+
+    It could when its URL runs to the end, or when whitespace follows the URL
+    and no "]" comes after it. A URL run stopped by a NUL can only close
+    inside itself.
     """
+    last_close = text.rfind("]")
+    for match in _URL_RUN.finditer(text):
+        end = match.end()
+        if end == len(text) or (text[end] != "\x00" and last_close < end):
+            return True
+    return False
+
+
+def _strip(text: str, remove_tables: bool, alone: bool) -> str:
+    """Apply the markup rules in order.
+
+    With ``alone``, ``text`` is one paragraph of a larger text, and _Spill is
+    raised wherever a rule's match could reach past its end (see
+    strip_markup): every logged case, and the four checks below that log
+    nothing.
+    """
+    warn = _spill if alone else logger.warning
     table_blocks: list[str] = []
     if not remove_tables:
         # Shelve table blocks untouched so no other rule can alter them. The
         # input loses its NULs first, so it cannot forge a placeholder.
-        wikitext = wikitext.replace("\x00", "")
-        spans = _outer_table_spans(wikitext)
-        table_blocks = [wikitext[s:e] for s, e in spans]
-        wikitext = _splice(wikitext, spans, (f"\x00T{idx}\x00" for idx in range(len(spans))))
+        text = text.replace("\x00", "")
+        spans = _outer_table_spans(text, warn)
+        table_blocks = [text[s:e] for s, e in spans]
+        text = _splice(text, spans, (f"\x00T{idx}\x00" for idx in range(len(spans))))
 
-    text = _remove_comments(wikitext)
-    text = _REF.sub(_drop_ref, text)
+    text = _remove_comments(text, warn)
+    text = _REF.sub(_drop_ref_alone if alone else _drop_ref, text)
     text = _GALLERY.sub("", text)
-    text = _replace_balanced(text, "{{", _TEMPLATE_TOKEN, "template", lambda inner: "")
+    if alone and _GALLERY_OPEN.search(text):
+        raise _Spill
+    text = _replace_balanced(text, "{{", _TEMPLATE_TOKEN, "template", lambda inner: "", warn)
     if remove_tables:
-        text = _splice(text, _outer_table_spans(text), repeat(""))
+        text = _splice(text, _outer_table_spans(text, warn), repeat(""))
     text = _HEADING.sub(r"\1", text)
-    text = _replace_balanced(text, "[[", _LINK_TOKEN, "[[", _link_text)
+    text = _replace_balanced(text, "[[", _LINK_TOKEN, "[[", _link_text, warn)
+    if alone and _url_spills(text):
+        raise _Spill
     text = _EXTERNAL_LINK.sub(lambda m: m.group(1) or "", text)
     text = _HTML_TAG.sub("", text)
+    if alone and _MARKERS.fullmatch(text.rstrip().rpartition("\n")[2]):
+        raise _Spill
     text = _LIST_MARKER.sub("", text)
     text = text.replace("'''", "").replace("''", "")
 
     if table_blocks:
         text = _TABLE_MARKER.sub(lambda m: table_blocks[int(m.group(1))], text)
     return text
+
+
+def strip_markup(wikitext: str, remove_tables: bool = True, *,
+                 memo: dict[str, str | None] | None = None) -> str:
+    r"""Reduce wikitext to plain prose.
+
+    Templates, refs (with contents), comments, heading/emphasis/list markers
+    and link syntax are removed; piped and external links keep their display
+    text. With ``remove_tables`` every ``{| ... |}`` block is dropped;
+    otherwise table blocks pass through verbatim and NUL characters are
+    dropped. Total function: never raises on malformed input.
+
+    With ``memo`` the text is split at ``"\n\n"`` and each paragraph is
+    stripped alone, looked up in ``memo`` first, and the results are joined
+    with ``"\n\n"``. A paragraph is self-contained when every rule's matches
+    over it alone are those the whole text gives. It is not when it holds an
+    unterminated comment, ref or ``<gallery``, an unclosed ``{{``, ``{|`` or
+    ``[[``, an external link whose match could need later text, or a list
+    marker whose whitespace runs to its end; ``memo`` then maps it to None.
+    If any paragraph is not self-contained, the whole text is stripped at
+    once, as without a memo, so the output and the warnings are the same
+    either way; a self-contained paragraph has nothing to warn about. Passing
+    one dict to every revision of a history strips each distinct paragraph
+    once. A memo serves one ``remove_tables`` value.
+    """
+    if memo is not None:
+        parts = []
+        for para in wikitext.split("\n\n"):
+            if para in memo:
+                plain = memo[para]
+            else:
+                try:
+                    plain = _strip(para, remove_tables, alone=True)
+                except _Spill:
+                    plain = None
+                memo[para] = plain
+            if plain is None:
+                break
+            parts.append(plain)
+        else:
+            return "\n\n".join(parts)
+    return _strip(wikitext, remove_tables, alone=False)
 
 
 # ---------------------------------------------------------------------------

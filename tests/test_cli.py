@@ -252,6 +252,14 @@ class TestCorpusCommands:
         assert all(len(line.split("\t")) == 3
                    for line in content.splitlines() if line)
 
+    def test_build_rejects_bad_threshold(self, seeded_cache_dir, tmp_path, capsys):
+        out = tmp_path / "corpus.tsv"
+        assert run("corpus", "build", "--cache", str(seeded_cache_dir),
+                   "--title", "Example outbreak", "--threshold", "1.5",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: threshold must be in [0, 1], got 1.5\n"
+        assert not out.exists()
+
     def test_kappa(self, tmp_path, capsys):
         a = tmp_path / "a.tsv"
         b = tmp_path / "b.tsv"

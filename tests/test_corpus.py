@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outbreakminer import corpus as corpus_module
 from outbreakminer.corpus import (
     AgreementTable,
     LabeledToken,
@@ -143,7 +144,8 @@ class TestDedup:
     @settings(max_examples=300, deadline=None)
     def test_matches_greedy_reference(self, data, threshold, keyed):
         # Word-built sentences give long prefixes, strings under 3 characters
-        # give empty trigram sets, and suffixed copies give near-duplicates.
+        # give empty trigram sets, suffixed copies give near-duplicates, and
+        # the empty suffix gives exact repeats.
         bases = data.draw(st.lists(st.one_of(DEDUP_SENTENCE, st.text("aB ", max_size=2)),
                                    min_size=1, max_size=6))
         texts = data.draw(st.lists(
@@ -160,6 +162,15 @@ class TestDedup:
             got = dedup_sentences(texts, threshold)
             expected = [texts[i] for i in expected]
         assert got == expected
+
+    def test_exact_repeats_not_compared(self, monkeypatch):
+        calls = []
+        real = corpus_module._jaccard
+        monkeypatch.setattr(corpus_module, "_jaccard", lambda a, b: calls.append(1) or real(a, b))
+        texts = ["alpha bravo charlie", "alpha bravo charlies"] * 50
+        assert dedup_sentences(texts, 0.75) == ["alpha bravo charlie"]
+        assert len(calls) == 1
+        assert dedup_sentences(texts, 1.0) == texts
 
 
 class TestPosTag:
@@ -356,6 +367,14 @@ class TestBuildCorpus:
         base = "Alpha prose line."
         corpus = build_corpus([_rev(1, base), _rev(2, ""), _rev(3, base)])
         assert corpus == []
+
+    @pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan")])
+    def test_bad_threshold_rejected_before_stripping(self, monkeypatch, threshold):
+        calls = []
+        monkeypatch.setattr(corpus_module, "strip_markup", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            build_corpus([_rev(1, "One."), _rev(2, "One. Two.")], threshold)
+        assert calls == []
 
     def test_fixture_corpus(self, fixture_revisions):
         corpus = build_corpus(fixture_revisions, 0.75)

@@ -4,7 +4,7 @@ import time
 from datetime import date, datetime
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from outbreakminer.ingest import ArticleRevision
@@ -288,6 +288,101 @@ class TestSpanLimits:
         for table in parse_tables(text):
             for row in [table.header, *table.rows]:
                 assert len(row) <= 1000 * raw_cells
+
+
+# Paragraph pieces for the memo tests: markup tokens, blank-line splits,
+# bare list-marker lines and external links left open.
+_PARAGRAPH_TOKENS = MARKUP_TOKENS + [
+    "\n\n", "\n*", "\n#\n", "\n:", "\n* \n", "[http://a", "[http://a b", "]", "</ref",
+    "</gallery", "ftp://",
+]
+_PARAGRAPH = st.lists(st.sampled_from(_PARAGRAPH_TOKENS), max_size=12).map("".join)
+
+
+@st.composite
+def _paragraph_texts(draw):
+    """Texts joined at blank lines from one small paragraph pool, so
+    paragraphs repeat within and across texts."""
+    pool = draw(st.lists(_PARAGRAPH, min_size=1, max_size=5))
+    return [
+        "\n\n".join(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+def _messages(caplog) -> list[str]:
+    messages = [r.getMessage() for r in caplog.records]
+    caplog.clear()
+    return messages
+
+
+class TestParagraphMemo:
+    @given(_paragraph_texts(), st.booleans())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_shared_memo_equals_whole_text(self, caplog, texts, remove_tables):
+        memo = {}
+        for text in texts:
+            caplog.clear()
+            plain = strip_markup(text, remove_tables, memo=memo)
+            logged = _messages(caplog)
+            assert plain == strip_markup(text, remove_tables)
+            assert logged == _messages(caplog)
+
+    # Each first paragraph breaks one self-containedness rule, and stripping
+    # the paragraphs one by one would give a different text.
+    @pytest.mark.parametrize("text, remove_tables", [
+        ("a <!-- x\n\nb --> c", True),
+        ("A<ref>x\n\ny</ref>B", True),
+        ("A<ref name=x\n\ny>z</ref>B", True),
+        ("A<ref>x</ref\n\ny>B", True),
+        ("<gallery>\nFile:a.png\n\nFile:b.png\n</gallery>after", True),
+        ("a {{t\n\n}} b", True),
+        ("a {|\n\n|} b", True),
+        ("{|\n\n[[x]]|}", False),
+        ("a [[x\n\ny]] b", True),
+        ("[http://a\n\nb]", True),
+        ("[http://a b\n\nc]", True),
+        ("x\n*\n\ny", True),
+        ("x\n#: \t\n\ny", True),
+        ("x\n*\n \n\ny", True),
+    ], ids=["comment", "ref-no-close", "ref-no-gt", "ref-closer-at-end", "gallery",
+            "template", "table", "kept-table", "link", "url-at-end", "url-space-no-close",
+            "list-marker", "list-marker-spaces", "list-marker-blank-line"])
+    def test_spilling_paragraph_strips_whole_text(self, caplog, text, remove_tables):
+        whole = strip_markup(text, remove_tables)
+        logged = _messages(caplog)
+        paragraphs = text.split("\n\n")
+        assert "\n\n".join(strip_markup(p, remove_tables) for p in paragraphs) != whole
+        caplog.clear()
+        memo = {}
+        assert strip_markup(text, remove_tables, memo=memo) == whole
+        assert _messages(caplog) == logged
+        assert memo == {paragraphs[0]: None}
+        assert strip_markup(text, remove_tables, memo=memo) == whole
+        assert _messages(caplog) == logged
+
+    def test_self_contained_paragraphs_stripped_once(self, caplog):
+        paragraphs = ["== Lead ==\n[[Ebola virus|Ebola]] spread.<ref>WHO</ref>",
+                      "* [http://example.org A report] said '''5''' died.\n* more",
+                      "{{Infobox}}{|\n| 1\n|}<!-- note -->Tail."]
+        text = "\n\n".join(paragraphs + paragraphs[:1])
+        memo = {}
+        assert strip_markup(text, memo=memo) == strip_markup(text)
+        assert memo == {p: strip_markup(p) for p in paragraphs}
+        assert not caplog.records
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+    def test_spill_stays_linear(self, where):
+        paragraphs = [f"Paragraph {i} with [[a link|text]] and ''emphasis''." for i in range(2000)]
+        paragraphs[where] = "{{never closed " + paragraphs[where]
+        text = "\n\n".join(paragraphs)
+        memo = {}
+        started = time.perf_counter()
+        plain = strip_markup(text, memo=memo)
+        assert time.perf_counter() - started < 1.0
+        assert plain == strip_markup(text)
+        assert len(memo) <= len(set(paragraphs))
 
 
 def _revisions(texts):
