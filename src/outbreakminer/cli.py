@@ -18,18 +18,13 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import date, datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import corpus as corpus_mod
-from . import timeseries as ts_mod
 from .errors import OutbreakError
-from .ingest import (
-    RevisionCache,
-    RevisionQuery,
-    fetch_revisions,
-    load_cached_revisions,
-    revision_activity,
-)
-from .wikitext import parse_tables, split_sentences, strip_markup
+
+# Each handler imports the layers it runs, so a command loads only those.
+if TYPE_CHECKING:
+    from .timeseries import RevisionSeries
 
 
 class _UsageError(Exception):
@@ -128,6 +123,8 @@ def emit_plot_data(report, destination) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_fetch(args) -> int:
+    from .ingest import RevisionCache, RevisionQuery, fetch_revisions, revision_activity
+
     cache = RevisionCache(_resolve_cache_dir(args))
     query = RevisionQuery(
         article_title=args.title,
@@ -151,6 +148,8 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_clean(args) -> int:
+    from .wikitext import strip_markup
+
     text = Path(args.input).read_text(encoding="utf-8")
     cleaned = strip_markup(text, remove_tables=not args.keep_tables)
     Path(args.output).write_text(cleaned, encoding="utf-8")
@@ -165,28 +164,38 @@ def cmd_tables(args) -> int:
     if args.tables_cmd == "rmse":
         return _tables_rmse(args)
     if args.tables_cmd == "import-truth":
-        written = ts_mod.import_rivers_ground_truth(args.input, args.output)
+        from .timeseries import import_rivers_ground_truth
+
+        written = import_rivers_ground_truth(args.input, args.output)
         print(f"wrote {written} ground-truth rows", file=sys.stderr)
         return 0
     if not args.input or not args.output:
         raise _UsageError("tables: --in and --out are required (or use a subcommand)")
+    from .wikitext import parse_tables
+
     text = Path(args.input).read_text(encoding="utf-8")
     tables = parse_tables(text)
     _write_json([{"header": t.header, "rows": t.rows} for t in tables], args.output)
     return 0
 
 
-def _load_revision_series(path: str) -> list[ts_mod.RevisionSeries]:
+def _load_revision_series(path: str) -> list[RevisionSeries]:
+    from .timeseries import revision_series_from_dict
+
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [ts_mod.revision_series_from_dict(item) for item in data]
+    return [revision_series_from_dict(item) for item in data]
 
 
-def _dump_revision_series(sets: list[ts_mod.RevisionSeries], destination: str | None) -> None:
-    _write_json([ts_mod.revision_series_to_dict(rev) for rev in sets], destination)
+def _dump_revision_series(sets: list[RevisionSeries], destination: str | None) -> None:
+    from .timeseries import revision_series_to_dict
+
+    _write_json([revision_series_to_dict(rev) for rev in sets], destination)
 
 
 def _cached_revisions(args) -> list:
     """The article's cached revisions; none cached is a domain error."""
+    from .ingest import RevisionCache, load_cached_revisions
+
     revisions = load_cached_revisions(RevisionCache(_resolve_cache_dir(args)), args.title)
     if not revisions:
         raise OutbreakError(f"no cached revisions for {args.title!r}; run fetch first")
@@ -194,22 +203,28 @@ def _cached_revisions(args) -> list:
 
 
 def _tables_extract(args) -> int:
-    sets = ts_mod.extract_revision_series(_cached_revisions(args), interpolate=False)
+    from .timeseries import extract_revision_series
+
+    sets = extract_revision_series(_cached_revisions(args), interpolate=False)
     _dump_revision_series(sets, args.output)
     print(f"extracted series from {len(sets)} revisions", file=sys.stderr)
     return 0
 
 
 def _tables_interpolate(args) -> int:
+    from .timeseries import interpolate_daily
+
     sets = _load_revision_series(args.input)
     for rev in sets:
-        rev.series = [ts_mod.interpolate_daily(s) for s in rev.series]
+        rev.series = [interpolate_daily(s) for s in rev.series]
     _dump_revision_series(sets, args.output)
     return 0
 
 
-def _score_rmse(sets: list[ts_mod.RevisionSeries], args) -> int:
+def _score_rmse(sets: list[RevisionSeries], args) -> int:
     """Dedup, score against ground truth, write the outputs; returns unique sets."""
+    from . import timeseries as ts_mod
+
     unique = ts_mod.dedup_series(sets)
     truth = ts_mod.load_ground_truth(args.truth)
     start = _parse_day(args.start_from) if args.start_from else None
@@ -239,13 +254,17 @@ def _tables_rmse(args) -> int:
 
 
 def cmd_rmse(args) -> int:
-    sets = ts_mod.extract_revision_series(_cached_revisions(args))
+    from .timeseries import extract_revision_series
+
+    sets = extract_revision_series(_cached_revisions(args))
     unique = _score_rmse(sets, args)
     print(f"{len(sets)} revisions with tables, {unique} unique series sets", file=sys.stderr)
     return 0
 
 
 def cmd_corpus(args) -> int:
+    from . import corpus as corpus_mod
+
     if args.corpus_cmd == "build":
         sentences = corpus_mod.build_corpus(_cached_revisions(args), threshold=args.threshold)
         corpus_mod.write_iob_tsv(sentences, args.output)
@@ -279,8 +298,10 @@ def _feature_config(args):
 
 def cmd_ner(args) -> int:
     # Only ner trains or decodes, so only ner pays for loading numpy.
+    from . import corpus as corpus_mod
     from . import crf as crf_mod
     from . import nereval
+    from .wikitext import split_sentences
 
     if args.ner_cmd == "train":
         dataset = corpus_mod.read_iob_tsv(args.corpus, strict=args.strict)

@@ -12,11 +12,11 @@ import logging
 import math
 import re
 from collections import Counter, defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import CorpusFormatError
+from .textio import open_text
 from .wikitext import Sentence, split_sentences, strip_markup
 
 logger = logging.getLogger(__name__)
@@ -351,16 +351,6 @@ def pos_tag(tokens: Sequence[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 # IOB TSV format
 # ---------------------------------------------------------------------------
-
-@contextmanager
-def open_text(target, mode: str, newline: str):
-    """UTF-8 text handle on a path, closed on exit; an open file passes through."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, mode, encoding="utf-8", newline=newline) as handle:
-            yield handle
-    else:
-        yield target
-
 
 def write_iob_tsv(sentences: Iterable[Sequence[LabeledToken]], destination) -> None:
     """Write token<TAB>pos<TAB>label lines, blank line between sentences.

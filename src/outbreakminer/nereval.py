@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial, reduce
 from operator import add
@@ -176,6 +175,9 @@ def cross_validate(corpus: Sequence[Sequence[LabeledToken]], config: FeatureConf
         payloads.append((train_set, folds[i], config, max_iter))
 
     if n_jobs > 1:
+        # Only a parallel run pays for loading the process pool and multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             futures = [pool.submit(_fold_counts, payload) for payload in payloads]
             fold_results = [_in_fold(i, future.result) for i, future in enumerate(futures)]

@@ -13,10 +13,10 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 
-from .corpus import open_text
 from .errors import AlignmentError, GroundTruthError
+from .textio import open_text
 from .wikitext import RawTable
 
 logger = logging.getLogger(__name__)
@@ -214,33 +214,67 @@ def _merge_two_row_header(table: RawTable, mapping: ColumnMapping) -> tuple[list
     return header, rows
 
 
+def _column_plan(table: RawTable, mapping: ColumnMapping):
+    """(data rows to skip, date column, [(column, country, metric)]) for a
+    table whose header matches the mapping, else None.
+
+    It reads only the header and the first row, through the two-row-header
+    merge and ``classify_header``.
+    """
+    header, rows = _merge_two_row_header(table, mapping)
+    date_col = None
+    series_cols: list[tuple[int, str, str]] = []
+    for idx, cell in enumerate(header):
+        kind = mapping.classify_header(cell)
+        if kind is None:
+            continue
+        if kind == ("", "date"):
+            if date_col is None:
+                date_col = idx
+        else:
+            series_cols.append((idx, kind[0], kind[1]))
+    if date_col is None or not series_cols:
+        return None
+    return len(table.rows) - len(rows), date_col, series_cols
+
+
+def _memoised(memo: dict, parse, text: str):
+    if text not in memo:
+        memo[text] = parse(text)
+    return memo[text]
+
+
 def extract_series(tables: list[RawTable], mapping: ColumnMapping = DEFAULT_MAPPING,
-                   revision_id: int | None = None) -> list[TimeSeries]:
+                   revision_id: int | None = None, *, memo: dict | None = None) -> list[TimeSeries]:
     """Series from the first table whose header matches the mapping.
 
     A match needs a date column plus at least one (country, metric) column.
     Unparseable cells are skipped with a warning; a revision with no matching
     table yields an empty list (not an error).
+
+    ``memo`` keeps each table's column plan, keyed by its header and first
+    row (all the plan reads), and each date and count cell text's parsed
+    value. Passing one dict to every revision of a history plans each
+    distinct header once and parses each distinct cell text once; the
+    warnings for unparseable cells are still logged on every call. A memo
+    serves one mapping; without it each call starts from an empty dict.
     """
+    if memo is None:
+        memo = {}
+    plans = memo.setdefault("plans", {})
+    dates = memo.setdefault("dates", {})
+    counts = memo.setdefault("counts", {})
     for table in tables:
-        header, rows = _merge_two_row_header(table, mapping)
-        date_col = None
-        series_cols: list[tuple[int, str, str]] = []
-        for idx, cell in enumerate(header):
-            kind = mapping.classify_header(cell)
-            if kind is None:
-                continue
-            if kind == ("", "date"):
-                if date_col is None:
-                    date_col = idx
-            else:
-                series_cols.append((idx, kind[0], kind[1]))
-        if date_col is None or not series_cols:
+        key = (tuple(table.header), tuple(table.rows[0]) if table.rows else None)
+        if key not in plans:
+            plans[key] = _column_plan(table, mapping)
+        if plans[key] is None:
             continue
+        skip, date_col, series_cols = plans[key]
 
         collected: dict[tuple[str, str], dict[date, float]] = {}
-        for row_no, row in enumerate(rows):
-            when = parse_table_date(row[date_col])
+        for row_no, row in enumerate(table.rows[skip:]):
+            when = _memoised(dates, parse_table_date, row[date_col])
             if when is None:
                 logger.warning(
                     "revision %s: unparseable date %r in row %d; row skipped",
@@ -248,7 +282,7 @@ def extract_series(tables: list[RawTable], mapping: ColumnMapping = DEFAULT_MAPP
                 )
                 continue
             for idx, country, metric in series_cols:
-                value = parse_count(row[idx])
+                value = _memoised(counts, parse_count, row[idx])
                 if value is None:
                     if row[idx].strip():
                         logger.warning(
@@ -286,10 +320,10 @@ def interpolate_daily(series: TimeSeries) -> TimeSeries:
         span = (d1 - d0).days
         if span > MAX_FILL_GAP_DAYS:
             continue
+        first = d0.toordinal()
         for step in range(1, span):
-            day = d0 + timedelta(days=step)
-            value = v0 + (v1 - v0) * step / span
-            points[day] = value
+            day = date.fromordinal(first + step)
+            points[day] = v0 + (v1 - v0) * step / span
             filled.add(day)
     points[known[-1][0]] = known[-1][1]
     return TimeSeries(
@@ -464,20 +498,31 @@ def extract_revision_series(revisions, mapping: ColumnMapping = DEFAULT_MAPPING,
 
     Revisions yielding no series (no matching table) contribute nothing.
     With ``interpolate`` the series are filled to daily granularity, ready
-    for dedup and scoring. One line memo serves every revision, so each
-    distinct table line is parsed once per call.
+    for dedup and scoring.
+
+    Successive revisions mostly repeat each other's tables, so one set of
+    memos serves every revision of the call: ``parse_tables`` parses each
+    distinct table block and line once, ``extract_series`` plans each
+    distinct header and parses each distinct cell once, and each distinct
+    raw series is interpolated once. Each revision still gets its own
+    TimeSeries objects with its own ``source_revision``; those with equal
+    raw points share one ``points`` dict and one ``interpolated_dates``
+    set, which nothing downstream mutates. A malformed table line's warning
+    is logged once per call; per-cell warnings are logged per revision.
     """
     from .wikitext import parse_tables
 
-    memo: dict = {}
+    rows: dict = {}
+    cells: dict = {}
+    daily: dict[tuple, TimeSeries] = {}
     sets: list[RevisionSeries] = []
     for rev in revisions:
-        tables = parse_tables(rev.wikitext, revision_id=rev.revision_id, memo=memo)
-        series = extract_series(tables, mapping, revision_id=rev.revision_id)
+        tables = parse_tables(rev.wikitext, revision_id=rev.revision_id, memo=rows)
+        series = extract_series(tables, mapping, revision_id=rev.revision_id, memo=cells)
         if not series:
             continue
         if interpolate:
-            series = [interpolate_daily(s) for s in series]
+            series = [_interpolated(s, daily) for s in series]
         series.sort(key=lambda s: (s.country, s.metric))
         sets.append(RevisionSeries(
             revision_id=rev.revision_id,
@@ -485,6 +530,18 @@ def extract_revision_series(revisions, mapping: ColumnMapping = DEFAULT_MAPPING,
             series=series,
         ))
     return sets
+
+
+def _interpolated(series: TimeSeries, memo: dict[tuple, TimeSeries]) -> TimeSeries:
+    """``interpolate_daily(series)``, whose points and filled dates come from
+    ``memo`` when a series with the same raw points was filled before."""
+    key = tuple(series.points.items())
+    if key not in memo:
+        memo[key] = interpolate_daily(series)
+    filled = memo[key]
+    return TimeSeries(country=series.country, metric=series.metric, points=filled.points,
+                      source_revision=series.source_revision,
+                      interpolated_dates=filled.interpolated_dates)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -18,6 +19,7 @@ logger = logging.getLogger(__name__)
 
 # Namespaces whose [[...]] constructs are media/meta, not prose.
 _DROP_LINK_NAMESPACES = ("file:", "image:", "category:")
+_NAMESPACE_CHARS = max(map(len, _DROP_LINK_NAMESPACES))
 
 # Word endings that suppress a sentence split, checked case-sensitively.
 ABBREVIATIONS = frozenset({
@@ -82,7 +84,6 @@ _REF_WARNINGS = {
 }
 _GALLERY = re.compile(r"<gallery\b[^>]*>.*?</gallery\s*>", re.DOTALL | re.IGNORECASE)
 _TEMPLATE_TOKEN = re.compile(r"\{\{|\}\}")
-_LINK_TOKEN = re.compile(r"\[\[|\]\]")
 
 
 class _Spill(Exception):
@@ -116,20 +117,18 @@ def _drop_ref_alone(match: re.Match) -> str:
     return ""
 
 
-def _replace_balanced(text: str, open_tok: str, tokens: re.Pattern, label: str,
-                      replace, warn=logger.warning) -> str:
-    """Replace every outermost open_tok...closer region with replace(inner).
+def _drop_templates(text: str, warn) -> str:
+    """Remove every outermost {{...}} region, nesting-aware.
 
-    ``tokens`` matches open_tok and its closer. Nesting-aware. An unclosed
-    opener drops through to end of text (passed to ``warn``); stray closers
-    are left alone.
+    An unclosed opener drops through to end of text (passed to ``warn``);
+    stray closers are left alone.
     """
-    if open_tok not in text:  # most table cells carry no markup
+    if "{{" not in text:  # most table cells carry no markup
         return text
     out = []
     pos = depth = start = 0
-    for match in tokens.finditer(text):
-        if match.group() == open_tok:
+    for match in _TEMPLATE_TOKEN.finditer(text):
+        if match.group() == "{{":
             if depth == 0:
                 out.append(text[pos:match.start()])
                 start = match.start()
@@ -137,19 +136,35 @@ def _replace_balanced(text: str, open_tok: str, tokens: re.Pattern, label: str,
         elif depth:
             depth -= 1
             if depth == 0:
-                out.append(replace(text[start + len(open_tok):match.start()]))
                 pos = match.end()
     if depth:
-        warn("unclosed %s at offset %d; dropping to end", label, start)
+        warn("unclosed template at offset %d; dropping to end", start)
     else:
         out.append(text[pos:])
     return "".join(out)
 
 
 # A table opener directly after "{" or a closer directly before "}" is
-# template syntax, not a table marker. Each alternative starts with its
-# literal, so the scan can skip ahead to the next "{|" or "|}".
-_TABLE_TOKEN = re.compile(r"\{\|(?<!\{\{\|)|\|\}(?!\})")
+# template syntax, not a table marker. Each pattern starts with its
+# literal, so a scan skips ahead to the next "{|" or "|}".
+_TABLE_OPEN = re.compile(r"\{\|(?<!\{\{\|)")
+_TABLE_CLOSE = re.compile(r"\|\}(?!\})")
+
+
+def _table_tokens(text: str) -> list[tuple[int, bool]]:
+    """(offset, is_opener) of each table marker, in text order.
+
+    These are the leftmost non-overlapping matches of either pattern. Only
+    "{|}" makes an opener and a closer overlap, and there the opener, which
+    starts first, is kept.
+    """
+    opens = [match.start() for match in _TABLE_OPEN.finditer(text)]
+    overlapped = {start + 1 for start in opens}
+    tokens = [(start, True) for start in opens]
+    tokens += [(match.start(), False) for match in _TABLE_CLOSE.finditer(text)
+               if match.start() not in overlapped]
+    tokens.sort()
+    return tokens
 
 
 def _find_table_spans(text: str, warn=logger.warning) -> list[tuple[int, int, int]]:
@@ -158,14 +173,16 @@ def _find_table_spans(text: str, warn=logger.warning) -> list[tuple[int, int, in
     ``end`` is the offset just past the closing ``|}``. Unclosed blocks run
     to end of text; one warning per scan names how many there are.
     """
+    if "{|" not in text:  # most stripped cells hold no table markup
+        return []
     spans = []
     stack = []
-    for match in _TABLE_TOKEN.finditer(text):
-        if match.group() == "{|":
-            stack.append(match.start())
+    for offset, opens in _table_tokens(text):
+        if opens:
+            stack.append(offset)
         elif stack:
             start = stack.pop()
-            spans.append((start, match.end(), len(stack)))
+            spans.append((start, offset + 2, len(stack)))
     if stack:
         warn("%d unclosed table block(s), outermost at offset %d; dropping to end",
              len(stack), stack[0])
@@ -192,12 +209,83 @@ def _splice(text: str, spans, fills, start: int = 0, end: int | None = None) -> 
     return "".join(out)
 
 
-def _link_text(inner: str) -> str:
-    """Display text of one [[...]] link: empty for media links."""
-    if inner.lower().startswith(_DROP_LINK_NAMESPACES):
-        return ""
-    kept = _split_protected(inner, ("|",))[-1]
-    return _replace_balanced(kept, "[[", _LINK_TOKEN, "[[", _link_text)
+def _link_texts(text: str, warn) -> str:
+    """``text`` with each outermost [[...]] link replaced by its display text.
+
+    A link shows what follows the last "|" of its inner text that
+    ``_split_protected`` would split at, with the links in that part
+    resolved the same way; a media link shows nothing. An unclosed "[["
+    drops through to end of text (passed to ``warn``); stray closers are
+    left alone.
+
+    One pass over the tokens pairs each "[[" with its "]]" and finds that
+    last "|" for every link; an explicit stack of frames then writes the
+    output. Nesting depth therefore costs neither recursion nor rescans.
+    """
+    if "[[" not in text:
+        return text
+    openers: list[int] = []  # offset of each "[[", in order
+    # "[[" offset -> (offset of its "]]", offset its display text starts at)
+    links: dict[int, tuple[int, int]] = {}
+    unclosed: list[int] = []
+    # _split_protected's depth at offset q, counted from a link's inner
+    # start, is level(q) less the least level since that start, where level
+    # counts every opener up and every closer down without clamping. So a
+    # "|" splits the link's text when no token since the link's "[[" starts
+    # lower; ``lower`` finds the last token before it that does.
+    lower: list[tuple[int, int]] = []  # (level, offset) of tokens in open links
+    bars: list[tuple[int, int]] = []   # (offset, last lower offset) of "|" in open links
+    level = 0
+    for match in _SPLIT_TOKENS[("|",)].finditer(text):
+        tok = match.group()
+        at = match.start()
+        if unclosed:
+            while lower and lower[-1][0] >= level:
+                lower.pop()
+            if tok == "|":
+                bars.append((at, lower[-1][1] if lower else -1))
+            lower.append((level, at))
+        if tok == "|":
+            continue
+        if tok == "[[":
+            openers.append(at)
+            unclosed.append(at)
+            level += 1
+        elif tok == "{{":
+            level += 1
+        else:
+            level -= 1
+            if tok == "]]" and unclosed:
+                opener = unclosed.pop()
+                # A "|" that does not split here splits no enclosing link either.
+                while bars and bars[-1][0] > opener and bars[-1][1] > opener:
+                    bars.pop()
+                shown = bars[-1][0] + 1 if bars and bars[-1][0] > opener else opener + 2
+                links[opener] = (at, shown)
+                if not unclosed:
+                    bars.clear()
+                    lower.clear()
+
+    out = []
+    frames = [(0, len(text))]  # (start, end) of each text still to resolve
+    while frames:
+        pos, end = frames.pop()
+        idx = bisect_left(openers, pos)
+        opener = openers[idx] if idx < len(openers) else end
+        if opener >= end:
+            out.append(text[pos:end])
+            continue
+        out.append(text[pos:opener])
+        if opener not in links:  # only the whole text can hold an unclosed link
+            warn("unclosed [[ at offset %d; dropping to end", opener)
+            continue
+        close, shown = links[opener]
+        frames.append((close + 2, end))
+        # No namespace holds "]", so the inner text's first characters decide.
+        head = text[opener + 2:min(close, opener + 2 + _NAMESPACE_CHARS)]
+        if not head.lower().startswith(_DROP_LINK_NAMESPACES):
+            frames.append((shown, close))
+    return "".join(out)
 
 
 # The separator tuples _split_protected is called with, each with its pattern.
@@ -231,7 +319,7 @@ def _split_protected(text: str, seps: tuple[str, ...]) -> list[str]:
 
 # Neither a URL nor a tag may span a NUL, so neither can swallow a shelved table.
 _EXTERNAL_LINK = re.compile(r"\[(?:https?|ftp)://[^\s\x00]*(?:\s+([^\]]*))?\]")
-_HEADING = re.compile(r"^[ \t]*=+[ \t]*(.*?)[ \t]*=+[ \t]*$", re.MULTILINE)
+_HEADING_LINE = re.compile(r"^[ \t]*=[^\n]*", re.MULTILINE)
 _HTML_TAG = re.compile(r"</?[A-Za-z][^>\n\x00]*>")
 _LIST_MARKER = re.compile(r"^[*#:;]+\s*", re.MULTILINE)
 _TABLE_MARKER = re.compile(r"\x00T(\d+)\x00")
@@ -241,6 +329,26 @@ _TABLE_MARKER = re.compile(r"\x00T(\d+)\x00")
 _GALLERY_OPEN = re.compile(r"<gallery\b", re.IGNORECASE)
 _URL_RUN = re.compile(r"\[(?:https?|ftp)://[^\s\x00]*")
 _MARKERS = re.compile(r"[*#:;]+")
+
+
+def _heading_text(match: re.Match) -> str:
+    """A heading line's title: what ``^[ \\t]*=+[ \\t]*(.*?)[ \\t]*=+[ \\t]*$``
+    (multiline) would capture, found without that pattern's cubic
+    backtracking. A line that pattern would not match is returned whole.
+
+    The pattern's first choices are the whole leading "=" run and the blanks
+    after it; then the title runs to the blanks before the trailing "=" run.
+    When only blanks follow the leading run, the run must give up its last
+    "=" to close the heading, so the title is empty.
+    """
+    line = match.group()
+    if not line.rstrip(" \t").endswith("="):
+        return line
+    opening = line.lstrip(" \t")
+    title = opening.lstrip("=").lstrip(" \t")
+    if title:
+        return title.rstrip(" \t").rstrip("=").rstrip(" \t")
+    return "" if len(opening.rstrip(" \t")) > 1 else line
 
 
 def _url_spills(text: str) -> bool:
@@ -281,11 +389,11 @@ def _strip(text: str, remove_tables: bool, alone: bool) -> str:
     text = _GALLERY.sub("", text)
     if alone and _GALLERY_OPEN.search(text):
         raise _Spill
-    text = _replace_balanced(text, "{{", _TEMPLATE_TOKEN, "template", lambda inner: "", warn)
+    text = _drop_templates(text, warn)
     if remove_tables:
         text = _splice(text, _outer_table_spans(text, warn), repeat(""))
-    text = _HEADING.sub(r"\1", text)
-    text = _replace_balanced(text, "[[", _LINK_TOKEN, "[[", _link_text, warn)
+    text = _HEADING_LINE.sub(_heading_text, text)
+    text = _link_texts(text, warn)
     if alone and _url_spills(text):
         raise _Spill
     text = _EXTERNAL_LINK.sub(lambda m: m.group(1) or "", text)
@@ -433,9 +541,9 @@ def _line_cells(text: str, memo: dict[str, tuple[Cell, ...]]) -> tuple[Cell, ...
     return cells
 
 
-def _parse_table_block(block: str, offset: int,
-                       memo: dict[str, tuple[Cell, ...]]) -> RawTable | None:
-    """Parse one table block (nested tables already blanked out).
+def _parse_table_block(block: str, memo: dict) -> tuple[list[str], list[list[str]]] | None:
+    """Parse one table block (nested tables already blanked out) into its
+    header and data rows.
 
     Rows break at ``|-`` only, matching MediaWiki semantics; ``!`` and ``|``
     lines add cells to the current row. The first grid row is the header.
@@ -481,20 +589,24 @@ def _parse_table_block(block: str, offset: int,
         if len(row) < width:
             row = row + [""] * (width - len(row))
         rows.append(row[:width])
-    return RawTable(header=header, rows=rows, source_span=(offset, offset + len(block)))
+    return header, rows
 
 
 def parse_tables(wikitext: str, revision_id: int | None = None, *,
-                 memo: dict[str, tuple[Cell, ...]] | None = None) -> list[RawTable]:
+                 memo: dict | None = None) -> list[RawTable]:
     """Extract every well-formed table as a RawTable, in document order.
 
     Nested tables yield their own RawTable; their markup is blanked out of
     the enclosing block so outer cells stay clean. Blocks without rows are
     skipped, never raised; one warning per call counts them.
 
-    ``memo`` maps each stripped table line to its parsed cells. Passing one
-    dict to every revision of a history parses each distinct line once;
-    without it each call starts from an empty dict.
+    ``memo`` maps each stripped table line to its parsed cells, and each
+    table block (its nested tables blanked out), keyed ``("block", text)``,
+    to its header and rows, or to None for a block without rows. Passing
+    one dict to every revision of a history parses each distinct block and
+    line once; without it each call starts from an empty dict. A block seen
+    before gets a new RawTable with its own ``source_span``, sharing the
+    memoised header and row lists, which nothing downstream mutates.
     """
     if memo is None:
         memo = {}
@@ -514,11 +626,14 @@ def parse_tables(wikitext: str, revision_id: int | None = None, *,
     skipped: list[int] = []
     for (start, end, _), inner in zip(spans, children):
         block = _splice(wikitext, inner, (" " * (e - s) for s, e in inner), start, end)
-        table = _parse_table_block(block, start, memo)
-        if table is None:
+        key = ("block", block)
+        if key not in memo:
+            memo[key] = _parse_table_block(block, memo)
+        parsed = memo[key]
+        if parsed is None:
             skipped.append(start)
         else:
-            tables.append(table)
+            tables.append(RawTable(*parsed, source_span=(start, end)))
     if skipped:
         logger.warning("skipping %d table(s) with no rows (revision %s, first at offset %d)",
                        len(skipped), revision_id, skipped[0])

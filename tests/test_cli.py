@@ -66,7 +66,7 @@ class TestExitCodes:
 class TestFetch:
     def test_fetch_reports_count_and_activity(self, tmp_path, monkeypatch,
                                               fixture_revisions, capsys):
-        import outbreakminer.cli as cli_mod
+        import outbreakminer.ingest as ingest_mod
 
         seen = {}
 
@@ -75,7 +75,7 @@ class TestFetch:
             seen["cache_root"] = cache.root
             return fixture_revisions
 
-        monkeypatch.setattr(cli_mod, "fetch_revisions", fake_fetch)
+        monkeypatch.setattr(ingest_mod, "fetch_revisions", fake_fetch)
         activity_csv = tmp_path / "activity.csv"
         assert run("fetch", "--title", "Example outbreak",
                    "--cache", str(tmp_path / "cache"),
@@ -208,6 +208,31 @@ class TestRmseCommand:
         assert "Guinea,cases," in body and "Liberia,deaths," in body
         report = json.loads(report_json.read_text())
         assert report["kind"] == "rmse_report"
+
+    def test_deep_link_nesting_in_a_cell_does_not_abort(self, fixture_records, tmp_path,
+                                                         ground_truth_path, capsys):
+        # A revision repeating the last one's series, plus a table cell and a
+        # paragraph of links nested 5,000 deep: dedup drops it, so the
+        # outputs match those of the history without it.
+        deep = "[[x|" * 5000 + "y" + "]]" * 5000
+        last = json.loads(json.dumps(fixture_records[-1]))
+        main_slot = last["slots"]["main"]
+        main_slot["content"] += f"\n{deep}\n{{|\n! Note\n|-\n| {deep}\n|}}\n"
+        last.update(revid=last["revid"] + 1, parentid=last["revid"],
+                    timestamp="2014-07-10T00:00:00Z")
+        outputs = {}
+        for name, records in (("plain", fixture_records), ("deep", fixture_records + [last])):
+            cache = RevisionCache(tmp_path / name / "cache")
+            for record in records:
+                cache.put_record("Example outbreak", record)
+            assert run("rmse", "--cache", str(tmp_path / name / "cache"),
+                       "--title", "Example outbreak", "--truth", str(ground_truth_path),
+                       "--out", str(tmp_path / name / "rmse.csv"),
+                       "--out-json", str(tmp_path / name / "report.json")) == 0
+            outputs[name] = [(tmp_path / name / f).read_bytes()
+                             for f in ("rmse.csv", "report.json")]
+        assert outputs["deep"] == outputs["plain"]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_empty_cache_is_domain_error(self, tmp_path):
         assert run("rmse", "--cache", str(tmp_path / "empty"),
@@ -503,6 +528,72 @@ class TestImportGraph:
                               capture_output=True, text=True, timeout=120)
         assert done.stdout.split() == ["False"]
         assert json.loads((tmp_path / "eval.json").read_text())["aggregate"]
+
+
+# Each route's argv (with {placeholders} for the test's paths) and the
+# modules it must not load: the table routes never touch the corpus or the
+# tagger, the corpus and ner routes never touch timeseries (nor, apart from
+# corpus build, the revision cache), and a sequential ner eval starts no
+# process pool.
+_ROUTES = {
+    "rmse": (["rmse", "--cache", "{cache}", "--title", "Example outbreak",
+              "--truth", "{truth}", "--out", "{out}/rmse.csv"],
+             ["outbreakminer.corpus", "outbreakminer.crf", "numpy"]),
+    "tables-extract": (["tables", "extract", "--cache", "{cache}", "--title",
+                        "Example outbreak", "--out", "{out}/raw.json"],
+                       ["outbreakminer.corpus", "outbreakminer.crf", "numpy"]),
+    "tables-parse": (["tables", "--in", "{wiki}", "--out", "{out}/tables.json"],
+                     ["outbreakminer.corpus", "outbreakminer.ingest",
+                      "outbreakminer.timeseries"]),
+    "clean": (["clean", "--in", "{wiki}", "--out", "{out}/page.txt"],
+              ["outbreakminer.corpus", "outbreakminer.ingest", "outbreakminer.timeseries"]),
+    "corpus-build": (["corpus", "build", "--cache", "{cache}", "--title",
+                      "Example outbreak", "--out", "{out}/corpus.tsv"],
+                     ["outbreakminer.timeseries", "outbreakminer.crf", "numpy"]),
+    "corpus-kappa": (["corpus", "kappa", "--a", "{corpus}", "--b", "{corpus}"],
+                     ["outbreakminer.timeseries", "outbreakminer.ingest"]),
+    "ner-tag": (["ner", "tag", "--model", "{model}", "--in", "{wiki}",
+                 "--out", "{out}/spans.json"],
+                ["outbreakminer.timeseries", "outbreakminer.ingest",
+                 "concurrent.futures.process"]),
+    "ner-eval": (["ner", "eval", "--corpus", "{corpus}", "--k", "2", "--max-iter", "5",
+                  "--out", "{out}/eval.json"],
+                 ["outbreakminer.timeseries", "outbreakminer.ingest",
+                  "concurrent.futures.process", "multiprocessing"]),
+}
+
+
+class TestRouteImports:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory, fixture_records, ground_truth_path):
+        from outbreakminer.crf import FeatureConfig, save_model, train
+
+        root = tmp_path_factory.mktemp("routes")
+        cache = RevisionCache(root / "cache")
+        for record in fixture_records:
+            cache.put_record("Example outbreak", record)
+        corpus = generate_labeled_corpus(12, seed=3)
+        write_iob_tsv(corpus, root / "corpus.tsv")
+        save_model(train(corpus, FeatureConfig(max_ngram_len=2), max_iter=5), root / "model.tsv")
+        (root / "page.wiki").write_text(
+            "Officials said [[Guinea|12]] people died.\n{|\n! Date !! Guinea cases\n"
+            "|-\n| 1 July 2014 || 5\n|}\n", encoding="utf-8")
+        return {"cache": root / "cache", "truth": ground_truth_path, "wiki": root / "page.wiki",
+                "corpus": root / "corpus.tsv", "model": root / "model.tsv", "out": root}
+
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    def test_route_loads_only_what_it_runs(self, route, paths):
+        template, absent = _ROUTES[route]
+        argv = [arg.format(**paths) for arg in template]
+        code = ("import sys\n"
+                "from outbreakminer.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                f"print(sorted({set(absent)!r} & sys.modules.keys()))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(outbreakminer.__file__).parents[1]))
+        env.pop("OUTBREAK_CACHE_DIR", None)
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestDeterminism:

@@ -3,10 +3,11 @@ import math
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from outbreakminer.errors import AlignmentError, GroundTruthError
+from outbreakminer.ingest import ArticleRevision
 from outbreakminer.timeseries import (
     AlignedPair,
     GroundTruthSet,
@@ -76,7 +77,7 @@ class TestExtractSeries:
         [s] = extract_series(parse_tables(text))
         assert s.country == "Spain"
 
-    def test_two_row_header_merged(self):
+    def test_two_row_header_merged(self, caplog):
         # The article's historical layout: Date spans both header rows,
         # country names span their metric pair.
         text = (
@@ -90,6 +91,7 @@ class TestExtractSeries:
             ("Guinea", "cases"), ("Guinea", "deaths"),
             ("Liberia", "cases"), ("Liberia", "deaths"),
         }
+        assert not caplog.records  # the sub-header row is not read as data
 
     def test_total_column(self):
         text = "{|\n! Date !! Total cases\n|-\n| 1 July 2014 || 42\n|}"
@@ -383,3 +385,119 @@ class TestFixturePipeline:
             assert {s.value_signature() for s in again.series} == {
                 s.value_signature() for s in rev.series
             }
+
+
+# ---------------------------------------------------------------------------
+# the memoised revision route against fresh per-revision work
+# ---------------------------------------------------------------------------
+
+_DAY = st.dates(date(2014, 3, 1), date(2014, 12, 31)).map(lambda d: f"{d.day} {d:%B} {d.year}")
+_DATE_CELL = st.one_of(_DAY, st.sampled_from(
+    ["2014-07-01", "July 3, 2014", "31 June 2014", "soon", "", "[[1 July 2014]]"]))
+_COUNT_CELL = st.one_of(st.integers(0, 5000).map(str), st.sampled_from(
+    ["1,234", "7.5", "n/a", "—", "12x", "", "{{unclosed"]))
+_TABLE_ROW = st.one_of(
+    st.builds("| {} || {} || {}".format, _DATE_CELL, _COUNT_CELL, _COUNT_CELL),
+    st.builds("| {} || {} {{|\n! Inner\n|-\n| {}\n|}}\n|| {}".format,
+              _DATE_CELL, _COUNT_CELL, _COUNT_CELL, _COUNT_CELL),
+)
+_HEADERS = [
+    "! Date !! Guinea cases !! Guinea deaths",
+    "! Date !! Guinea !! Liberia\n|-\n| || cases || deaths",  # two-row header
+    "! Date !! Guinea !! Liberia\n|-\n| || cases || soon",    # looks like one, is not
+    "! Notes !! Guinea cases !! Guinea deaths",              # no date column
+]
+_EXTRA_BLOCKS = ["", "{|\n|}\n", "{| class=x\n|-\n|}\n"]  # blocks without rows
+
+
+@st.composite
+def _edited_histories(draw):
+    """Revisions of one table that keep, edit, append and drop rows, so
+    blocks, headers, cells and series repeat across revisions."""
+    rows = draw(st.lists(_TABLE_ROW, max_size=5))
+    texts = []
+    for _ in range(draw(st.integers(1, 6))):
+        action = draw(st.sampled_from(["keep", "keep", "edit", "append", "drop"]))
+        if action == "edit" and rows:
+            rows[draw(st.integers(0, len(rows) - 1))] = draw(_TABLE_ROW)
+        elif action == "append":
+            rows.append(draw(_TABLE_ROW))
+        elif action == "drop" and rows:
+            rows.pop()
+        body = "".join(f"|-\n{row}\n" for row in rows)
+        table = f"{{| class=wikitable\n{draw(st.sampled_from(_HEADERS))}\n{body}|}}\n"
+        texts.append(f"lead\n{draw(st.sampled_from(_EXTRA_BLOCKS))}{table}tail")
+    return texts
+
+
+def _fill_daily(series):
+    """interpolate_daily as it was written before, stepping by timedelta."""
+    known = sorted(series.points.items())
+    points, filled = {}, set()
+    for (d0, v0), (d1, v1) in zip(known, known[1:]):
+        points[d0] = v0
+        span = (d1 - d0).days
+        if span > 366:
+            continue
+        for step in range(1, span):
+            day = d0 + timedelta(days=step)
+            points[day] = v0 + (v1 - v0) * step / span
+            filled.add(day)
+    points[known[-1][0]] = known[-1][1]
+    return TimeSeries(series.country, series.metric, points, series.source_revision,
+                      series.interpolated_dates | filled)
+
+
+def _fresh_revision_series(revisions, interpolate):
+    """Per revision: tables through a memo of table lines alone, then
+    memo-less extraction and interpolation."""
+    lines = {}
+    sets = []
+    for rev in revisions:
+        tables = parse_tables(rev.wikitext, revision_id=rev.revision_id, memo=lines)
+        for key in [key for key in lines if not isinstance(key, str)]:
+            del lines[key]
+        found = extract_series(tables, revision_id=rev.revision_id)
+        if found:
+            if interpolate:
+                found = [_fill_daily(s) for s in found]
+            found.sort(key=lambda s: (s.country, s.metric))
+            sets.append(RevisionSeries(rev.revision_id, rev.timestamp, found))
+    return sets
+
+
+def _compared(sets):
+    return [(rev.revision_id, rev.timestamp,
+             [(s.value_signature(), s.source_revision, s.interpolated_dates) for s in rev.series])
+            for rev in sets]
+
+
+class TestMemoisedRevisionSeries:
+    @given(_edited_histories(), st.booleans())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_equals_fresh_per_revision_work(self, caplog, texts, interpolate):
+        revisions = [ArticleRevision(revision_id=idx, parent_id=None,
+                                     timestamp=datetime(2014, 7, 1 + idx), editor="",
+                                     comment="", wikitext=text)
+                     for idx, text in enumerate(texts)]
+        caplog.clear()
+        memoised = _compared(extract_revision_series(revisions, interpolate=interpolate))
+        logged = [(r.name, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        assert memoised == _compared(_fresh_revision_series(revisions, interpolate))
+        assert logged == [(r.name, r.getMessage()) for r in caplog.records]
+
+    def test_repeated_series_share_filled_points(self):
+        table = ("{|\n! Date !! Guinea cases\n|-\n| 1 July 2014 || 5\n"
+                 "|-\n| 5 July 2014 || 9\n|}")
+        revisions = [ArticleRevision(revision_id=idx, parent_id=None, timestamp=None,
+                                     editor="", comment="", wikitext=table)
+                     for idx in range(3)]
+        sets = extract_revision_series(revisions)
+        first, *rest = (rev.series[0] for rev in sets)
+        assert [s.source_revision for s in (first, *rest)] == [0, 1, 2]
+        for other in rest:
+            assert other.points is first.points
+            assert other.interpolated_dates is first.interpolated_dates
+        assert first.points == interpolate_daily(extract_series(parse_tables(table))[0]).points

@@ -15,11 +15,14 @@ from outbreakminer.timeseries import (
     interpolate_daily,
 )
 from outbreakminer.wikitext import (
-    _TABLE_TOKEN,
+    _HEADING_LINE,
     _find_table_spans,
+    _heading_text,
+    _link_texts,
     _parse_cell,
     _sentence_spans,
     _split_protected,
+    _table_tokens,
     parse_tables,
     split_sentences,
     strip_markup,
@@ -135,6 +138,91 @@ class TestStripMarkup:
             assert strip_markup(once) == once
 
 
+# The link and heading rules as they were written before: a recursive
+# nesting-aware replace, and one regex that backtracks cubically.
+_RECURSIVE_LINK_TOKEN = re.compile(r"\[\[|\]\]")
+_BACKTRACKING_HEADING = re.compile(r"^[ \t]*=+[ \t]*(.*?)[ \t]*=+[ \t]*$", re.MULTILINE)
+
+
+def _recursive_links(text, warn, nested_warn):
+    if "[[" not in text:
+        return text
+    out = []
+    pos = depth = start = 0
+    for match in _RECURSIVE_LINK_TOKEN.finditer(text):
+        if match.group() == "[[":
+            if depth == 0:
+                out.append(text[pos:match.start()])
+                start = match.start()
+            depth += 1
+        elif depth:
+            depth -= 1
+            if depth == 0:
+                inner = text[start + 2:match.start()]
+                if inner.lower().startswith(("file:", "image:", "category:")):
+                    out.append("")
+                else:
+                    kept = _split_protected(inner, ("|",))[-1]
+                    out.append(_recursive_links(kept, nested_warn, nested_warn))
+                pos = match.end()
+    if depth:
+        warn("unclosed %s at offset %d; dropping to end" % ("[[", start))
+    else:
+        out.append(text[pos:])
+    return "".join(out)
+
+
+_LINK_PIECES = st.lists(st.sampled_from(
+    ["[[", "]]", "|", "||", "{{", "}}", "[", "]", "x", "File:", "fILE:x", "Category:", "İ"]),
+    max_size=40).map("".join)
+
+
+class TestAdversarialMarkup:
+    @given(_LINK_PIECES)
+    @settings(max_examples=500, deadline=None)
+    def test_links_match_recursive_resolution(self, text):
+        logged, nested = [], []
+        expected = _recursive_links(text, logged.append, nested.append)
+        warned = []
+        assert _link_texts(text, lambda fmt, *args: warned.append(fmt % args)) == expected
+        assert warned == logged
+        assert nested == []  # only the whole text can hold an unclosed link
+
+    @pytest.mark.parametrize("text, shown", [
+        ("[[x|[[y]]]]", "y"),
+        ("[[a}}|b]]", "b"),                      # "}}" lowers the split depth to 0
+        ("[[a|[[b}}|c]]]]", "c]]"),              # ...and leaves a stray closer
+        ("[[File:a|[[b]]]] [[c|d]]", " d"),
+        ("[[x|" * 3 + "y" + "]]" * 3, "y"),
+    ])
+    def test_nested_link_text(self, text, shown):
+        assert strip_markup(text) == shown
+
+    def test_deep_link_nesting_stays_fast(self, caplog):
+        deep = "[[x|" * 5000 + "y" + "]]" * 5000
+        started = time.perf_counter()
+        assert strip_markup(deep) == "y"
+        assert strip_markup("[" * 10000 + "]" * 10000) == ""
+        [table] = parse_tables(f"{{|\n! Note\n|-\n| {deep}\n|}}")
+        assert table.rows == [["y"]]
+        assert time.perf_counter() - started < 1.0
+        assert not caplog.records
+
+    @given(st.lists(st.sampled_from(["=", " ", "\t", "x", "\r", "\n"]), max_size=30)
+           .map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_heading_matches_backtracking_rule(self, text):
+        assert (_HEADING_LINE.sub(_heading_text, text)
+                == _BACKTRACKING_HEADING.sub(r"\1", text))
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    def test_long_heading_run_stays_fast(self, n):
+        started = time.perf_counter()
+        assert strip_markup("=" * n + "x") == "=" * n + "x"
+        assert strip_markup("=" * n + " x " + "=" * n) == "x"
+        assert time.perf_counter() - started < 1.0
+
+
 class TestParseTables:
     def test_no_tables(self):
         assert parse_tables("no table syntax here") == []
@@ -245,8 +333,30 @@ class TestScanners:
     @settings(max_examples=300, deadline=None)
     def test_table_token_matches_lookbehind_first_pattern(self, text):
         oracle = re.compile(r"(?<!\{)\{\||\|\}(?!\})")
-        assert ([m.span() for m in _TABLE_TOKEN.finditer(text)]
-                == [m.span() for m in oracle.finditer(text)])
+        assert ([(start, start + 2, opens) for start, opens in _table_tokens(text)]
+                == [(*m.span(), m.group() == "{|") for m in oracle.finditer(text)])
+
+    @given(st.lists(st.sampled_from(["{", "|", "}", "x", "{|", "|}", "\n"]), max_size=60)
+           .map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_find_table_spans_matches_token_regex_scan(self, text):
+        # The scan as one alternation regex, which tries both markers at each offset.
+        table_token = re.compile(r"\{\|(?<!\{\{\|)|\|\}(?!\})")
+        spans, stack, expected_warnings = [], [], []
+        for match in table_token.finditer(text):
+            if match.group() == "{|":
+                stack.append(match.start())
+            elif stack:
+                start = stack.pop()
+                spans.append((start, match.end(), len(stack)))
+        if stack:
+            expected_warnings.append((len(stack), stack[0]))
+        while stack:
+            start = stack.pop()
+            spans.append((start, len(text), len(stack)))
+        warnings = []
+        assert _find_table_spans(text, lambda fmt, *args: warnings.append(args)) == spans
+        assert warnings == expected_warnings
 
     @pytest.mark.parametrize("text, seps, parts", [
         ("[[a|b]]|c", ("|",), ["[[a|b]]", "c"]),
