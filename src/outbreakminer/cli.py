@@ -183,7 +183,11 @@ def _load_revision_series(path: str) -> list[RevisionSeries]:
     from .timeseries import revision_series_from_dict
 
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [revision_series_from_dict(item) for item in data]
+    try:
+        return [revision_series_from_dict(item) for item in data]
+    except (LookupError, TypeError, AttributeError) as exc:
+        problem = f"{type(exc).__name__}: {exc}"
+        raise OutbreakError(f"{path}: malformed revision series ({problem})") from None
 
 
 def _dump_revision_series(sets: list[RevisionSeries], destination: str | None) -> None:

@@ -3,8 +3,8 @@
 This handles the small markup subset the pipeline needs (templates, links,
 refs, comments, tables, emphasis, headings), not general MediaWiki. Nesting
 is matched by ``re.finditer`` token scans over the open/close markers.
-Each rule is a pattern compiled once, at import. Unclosed constructs drop
-through to end of text and are logged rather than raised.
+Each rule is a pattern compiled once, at import. Unclosed constructs are
+logged rather than raised; most drop through to end of text.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ _COMMENT = re.compile(r"<!--.*?-->", re.DOTALL)
 
 # A ref runs to the first ">" and then, unless self-closing, to the first
 # "</ref" and its ">" (or end of text, the "at_end" group). Without "</ref"
-# or without any ">" it drops to end of line; those two cases are logged.
+# or without any ">" it drops to end of line. All three cases are logged.
 # Only "ref" ignores case: a literal "<" up front lets the scan skip ahead
 # to each "<".
 _REF = re.compile(
@@ -81,8 +81,11 @@ _REF = re.compile(
 _REF_WARNINGS = {
     "no_close": "<ref> without </ref> at offset %d; dropping rest of line",
     "no_gt": "unclosed <ref tag at offset %d; dropping rest of line",
+    "at_end": "</ref without > after <ref> at offset %d; dropping to end",
 }
 _GALLERY = re.compile(r"<gallery\b[^>]*>.*?</gallery\s*>", re.DOTALL | re.IGNORECASE)
+_GALLERY_OPEN = re.compile(r"<gallery\b", re.IGNORECASE)
+_GALLERY_CLOSE = re.compile(r"</gallery\s*>", re.IGNORECASE)
 _TEMPLATE_TOKEN = re.compile(r"\{\{|\}\}")
 
 
@@ -96,7 +99,9 @@ def _spill(*_args) -> None:
 
 
 def _remove_comments(text: str, warn) -> str:
-    out = _COMMENT.sub("", text)
+    # No comment ends past the last "-->", so no opener after it rescans the tail.
+    head, closer, tail = text.rpartition("-->")
+    out = _COMMENT.sub("", head + closer) + tail
     # An unterminated comment swallows the rest of the text.
     idx = out.find("<!--")
     if idx != -1:
@@ -105,16 +110,26 @@ def _remove_comments(text: str, warn) -> str:
     return out
 
 
-def _drop_ref(match: re.Match) -> str:
-    if match.lastgroup in _REF_WARNINGS:
-        logger.warning(_REF_WARNINGS[match.lastgroup], match.start())
-    return ""
+def _drop_refs(text: str, warn) -> str:
+    def drop(match: re.Match) -> str:
+        if match.lastgroup:
+            warn(_REF_WARNINGS[match.lastgroup], match.start())
+        return ""
+    return _REF.sub(drop, text)
 
 
-def _drop_ref_alone(match: re.Match) -> str:
-    if match.lastgroup:  # a logged case, or a closing tag that runs to the end
-        raise _Spill
-    return ""
+def _drop_galleries(text: str, warn) -> str:
+    """Remove each closed <gallery>...</gallery> block. An unclosed
+    ``<gallery`` is left in place and passed to ``warn``."""
+    if not _GALLERY_OPEN.search(text):  # most texts and cells hold no gallery
+        return text
+    # As with comments, no block ends past the last closer.
+    end = max((match.end() for match in _GALLERY_CLOSE.finditer(text)), default=0)
+    text = _GALLERY.sub("", text[:end]) + text[end:]
+    unclosed = _GALLERY_OPEN.search(text)
+    if unclosed:
+        warn("unclosed <gallery at offset %d; left in place", unclosed.start())
+    return text
 
 
 def _drop_templates(text: str, warn) -> str:
@@ -318,17 +333,11 @@ def _split_protected(text: str, seps: tuple[str, ...]) -> list[str]:
 
 
 # Neither a URL nor a tag may span a NUL, so neither can swallow a shelved table.
-_EXTERNAL_LINK = re.compile(r"\[(?:https?|ftp)://[^\s\x00]*(?:\s+([^\]]*))?\]")
+_EXTERNAL_LINK = re.compile(r"\[(?:https?|ftp)://[^\s\x00]*(?:[^\S\n]+([^\]\n]*))?\]")
 _HEADING_LINE = re.compile(r"^[ \t]*=[^\n]*", re.MULTILINE)
 _HTML_TAG = re.compile(r"</?[A-Za-z][^>\n\x00]*>")
-_LIST_MARKER = re.compile(r"^[*#:;]+\s*", re.MULTILINE)
+_LIST_MARKER = re.compile(r"^[*#:;]+[^\S\n]*", re.MULTILINE)
 _TABLE_MARKER = re.compile(r"\x00T(\d+)\x00")
-
-
-# Checks for a paragraph stripped alone; see _strip.
-_GALLERY_OPEN = re.compile(r"<gallery\b", re.IGNORECASE)
-_URL_RUN = re.compile(r"\[(?:https?|ftp)://[^\s\x00]*")
-_MARKERS = re.compile(r"[*#:;]+")
 
 
 def _heading_text(match: re.Match) -> str:
@@ -351,30 +360,22 @@ def _heading_text(match: re.Match) -> str:
     return "" if len(opening.rstrip(" \t")) > 1 else line
 
 
-def _url_spills(text: str) -> bool:
-    """Whether an external link's match could need text past the end of ``text``.
-
-    It could when its URL runs to the end, or when whitespace follows the URL
-    and no "]" comes after it. A URL run stopped by a NUL can only close
-    inside itself.
-    """
-    last_close = text.rfind("]")
-    for match in _URL_RUN.finditer(text):
-        end = match.end()
-        if end == len(text) or (text[end] != "\x00" and last_close < end):
-            return True
-    return False
+def _external_links(text: str) -> str:
+    """``text`` with each external link replaced by its label. As in MediaWiki,
+    no link spans a line, so each line is scanned only up to its last "]"."""
+    if "://" not in text:
+        return text
+    lines = text.split("\n")
+    for idx, line in enumerate(lines):
+        end = line.rfind("]") + 1
+        if end:
+            lines[idx] = _EXTERNAL_LINK.sub(r"\1", line[:end]) + line[end:]
+    return "\n".join(lines)
 
 
-def _strip(text: str, remove_tables: bool, alone: bool) -> str:
-    """Apply the markup rules in order.
-
-    With ``alone``, ``text`` is one paragraph of a larger text, and _Spill is
-    raised wherever a rule's match could reach past its end (see
-    strip_markup): every logged case, and the four checks below that log
-    nothing.
-    """
-    warn = _spill if alone else logger.warning
+def _strip(text: str, remove_tables: bool, warn) -> str:
+    """Apply the markup rules in order. Each unclosed construct is passed to
+    ``warn``, and no other match crosses a blank line (see strip_markup)."""
     table_blocks: list[str] = []
     if not remove_tables:
         # Shelve table blocks untouched so no other rule can alter them. The
@@ -385,21 +386,15 @@ def _strip(text: str, remove_tables: bool, alone: bool) -> str:
         text = _splice(text, spans, (f"\x00T{idx}\x00" for idx in range(len(spans))))
 
     text = _remove_comments(text, warn)
-    text = _REF.sub(_drop_ref_alone if alone else _drop_ref, text)
-    text = _GALLERY.sub("", text)
-    if alone and _GALLERY_OPEN.search(text):
-        raise _Spill
+    text = _drop_refs(text, warn)
+    text = _drop_galleries(text, warn)
     text = _drop_templates(text, warn)
     if remove_tables:
         text = _splice(text, _outer_table_spans(text, warn), repeat(""))
     text = _HEADING_LINE.sub(_heading_text, text)
     text = _link_texts(text, warn)
-    if alone and _url_spills(text):
-        raise _Spill
-    text = _EXTERNAL_LINK.sub(lambda m: m.group(1) or "", text)
+    text = _external_links(text)
     text = _HTML_TAG.sub("", text)
-    if alone and _MARKERS.fullmatch(text.rstrip().rpartition("\n")[2]):
-        raise _Spill
     text = _LIST_MARKER.sub("", text)
     text = text.replace("'''", "").replace("''", "")
 
@@ -416,20 +411,19 @@ def strip_markup(wikitext: str, remove_tables: bool = True, *,
     and link syntax are removed; piped and external links keep their display
     text. With ``remove_tables`` every ``{| ... |}`` block is dropped;
     otherwise table blocks pass through verbatim and NUL characters are
-    dropped. Total function: never raises on malformed input.
+    dropped. Total function: never raises on malformed input. Each unclosed
+    construct is logged; an unclosed ``<gallery`` is left in place, and a
+    ``</ref`` without ``>`` drops to the end. External links and list
+    markers never reach past their line.
 
     With ``memo`` the text is split at ``"\n\n"`` and each paragraph is
     stripped alone, looked up in ``memo`` first, and the results are joined
-    with ``"\n\n"``. A paragraph is self-contained when every rule's matches
-    over it alone are those the whole text gives. It is not when it holds an
-    unterminated comment, ref or ``<gallery``, an unclosed ``{{``, ``{|`` or
-    ``[[``, an external link whose match could need later text, or a list
-    marker whose whitespace runs to its end; ``memo`` then maps it to None.
-    If any paragraph is not self-contained, the whole text is stripped at
-    once, as without a memo, so the output and the warnings are the same
-    either way; a self-contained paragraph has nothing to warn about. Passing
-    one dict to every revision of a history strips each distinct paragraph
-    once. A memo serves one ``remove_tables`` value.
+    with ``"\n\n"``. A paragraph is self-contained exactly when stripping it
+    alone logs nothing; ``memo`` maps any other paragraph to None. If any
+    paragraph is not self-contained, the whole text is stripped at once, as
+    without a memo, so the output and the warnings are the same either way.
+    Passing one dict to every revision of a history strips each distinct
+    paragraph once. A memo serves one ``remove_tables`` value.
     """
     if memo is not None:
         parts = []
@@ -438,7 +432,7 @@ def strip_markup(wikitext: str, remove_tables: bool = True, *,
                 plain = memo[para]
             else:
                 try:
-                    plain = _strip(para, remove_tables, alone=True)
+                    plain = _strip(para, remove_tables, _spill)
                 except _Spill:
                     plain = None
                 memo[para] = plain
@@ -447,7 +441,7 @@ def strip_markup(wikitext: str, remove_tables: bool = True, *,
             parts.append(plain)
         else:
             return "\n\n".join(parts)
-    return _strip(wikitext, remove_tables, alone=False)
+    return _strip(wikitext, remove_tables, logger.warning)
 
 
 # ---------------------------------------------------------------------------

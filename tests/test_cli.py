@@ -159,6 +159,24 @@ class TestTables:
     def test_subcommand_required_in_out_still_required(self, argv):
         assert run(*argv) == 2
 
+    @pytest.mark.parametrize("payload", [
+        [{"revision_id": 1, "timestamp": None}],
+        [{"revision_id": 1, "timestamp": None,
+          "series": [{"country": "Guinea", "points": {}}]}],
+        {"a": 1},
+    ], ids=["no-series", "no-metric", "object"])
+    @pytest.mark.parametrize("command", ["interpolate", "rmse"])
+    def test_malformed_series_is_one_error_line(self, tmp_path, capsys, ground_truth_path,
+                                                command, payload):
+        src = tmp_path / "series.json"
+        src.write_text(json.dumps(payload))
+        extra = ["--truth", str(ground_truth_path)] if command == "rmse" else []
+        assert run("tables", command, "--in", str(src), *extra,
+                   "--out", str(tmp_path / "out")) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {src}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_import_truth(self, rivers_sample_path, tmp_path):
         out = tmp_path / "canonical.csv"
         assert run("tables", "import-truth", "--in", str(rivers_sample_path),

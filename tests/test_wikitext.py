@@ -61,13 +61,25 @@ class TestStripMarkup:
         ("A<REF name=y>x</Ref >B", "AB", None),
         ("A<ref>x\nB", "A\nB", "<ref> without </ref> at offset 1"),
         ("A<ref name=x\nB", "A\nB", "unclosed <ref tag at offset 1"),
-        ("A<ref>x</ref\nB", "A", None),
+        ("A<ref>x</ref\nB", "A", "</ref without > after <ref> at offset 1"),
         # "İ".lower() is two code points; ref offsets must not shift after it.
         ("İstanbul had 5 cases.<ref>WHO</ref> Then 7 deaths.",
          "İstanbul had 5 cases. Then 7 deaths.", None),
     ], ids=["self-closing", "paired", "mixed-case", "no-closer", "no-gt", "closer-no-gt",
             "after-length-changing-lowercase"])
     def test_ref_outcomes(self, caplog, text, expected, warning):
+        assert strip_markup(text) == expected
+        assert [r.getMessage().split(";")[0] for r in caplog.records] == (
+            [warning] if warning else []
+        )
+
+    @pytest.mark.parametrize("text, expected, warning", [
+        ("x\n*\n\n  y", "x\n\n\n  y", None),
+        ("[http://a b\nc]", "[http://a b\nc]", None),
+        ("a<gallery>\nFile:x.png\n</gallery>b", "ab", None),
+        ("a<gallery>\nFile:x.png", "a\nFile:x.png", "unclosed <gallery at offset 1"),
+    ], ids=["empty-list-item", "link-across-line", "closed-gallery", "unclosed-gallery"])
+    def test_line_bound_and_gallery_outcomes(self, caplog, text, expected, warning):
         assert strip_markup(text) == expected
         assert [r.getMessage().split(";")[0] for r in caplog.records] == (
             [warning] if warning else []
@@ -221,6 +233,21 @@ class TestAdversarialMarkup:
         assert strip_markup("=" * n + "x") == "=" * n + "x"
         assert strip_markup("=" * n + " x " + "=" * n) == "x"
         assert time.perf_counter() - started < 1.0
+
+    # Rules that could rescan the rest of the text, or of a line, from each
+    # opener that has no closer after it.
+    @pytest.mark.parametrize("n", [2000, 8000])
+    @pytest.mark.parametrize("shape, plain, warnings", [
+        (lambda n: "<!--" * n, lambda n: "", 1),
+        (lambda n: "<gallery>" * n, lambda n: "", 1),
+        (lambda n: "[http://a " * n, lambda n: "[http://a " * n, 0),
+        (lambda n: "[http://a " * n + "\n]", lambda n: "[http://a " * n + "\n]", 0),
+    ], ids=["comments", "galleries", "link-no-close", "link-closed-next-line"])
+    def test_unclosed_run_stays_fast(self, caplog, n, shape, plain, warnings):
+        started = time.perf_counter()
+        assert strip_markup(shape(n)) == plain(n)
+        assert time.perf_counter() - started < 1.0
+        assert len(caplog.records) == warnings
 
 
 class TestParseTables:
@@ -451,14 +478,8 @@ class TestParagraphMemo:
         ("a {|\n\n|} b", True),
         ("{|\n\n[[x]]|}", False),
         ("a [[x\n\ny]] b", True),
-        ("[http://a\n\nb]", True),
-        ("[http://a b\n\nc]", True),
-        ("x\n*\n\ny", True),
-        ("x\n#: \t\n\ny", True),
-        ("x\n*\n \n\ny", True),
     ], ids=["comment", "ref-no-close", "ref-no-gt", "ref-closer-at-end", "gallery",
-            "template", "table", "kept-table", "link", "url-at-end", "url-space-no-close",
-            "list-marker", "list-marker-spaces", "list-marker-blank-line"])
+            "template", "table", "kept-table", "link"])
     def test_spilling_paragraph_strips_whole_text(self, caplog, text, remove_tables):
         whole = strip_markup(text, remove_tables)
         logged = _messages(caplog)
@@ -471,6 +492,34 @@ class TestParagraphMemo:
         assert memo == {paragraphs[0]: None}
         assert strip_markup(text, remove_tables, memo=memo) == whole
         assert _messages(caplog) == logged
+
+    # External links and list markers end at their line, so these paragraphs
+    # strip alone to what the whole text gives.
+    @pytest.mark.parametrize("text", [
+        "[http://a\n\nb]", "[http://a b\n\nc]", "x\n*\n\ny", "x\n#: \t\n\ny",
+        "x\n*\n \n\ny",
+    ], ids=["url-at-end", "url-space-no-close", "list-marker", "list-marker-spaces",
+            "list-marker-blank-line"])
+    def test_line_bound_markup_strips_alone(self, caplog, text):
+        paragraphs = text.split("\n\n")
+        whole = strip_markup(text)
+        assert "\n\n".join(strip_markup(p) for p in paragraphs) == whole
+        memo = {}
+        assert strip_markup(text, memo=memo) == whole
+        assert memo == {p: strip_markup(p) for p in paragraphs}
+        assert not caplog.records
+
+    @given(st.lists(st.sampled_from(_PARAGRAPH_TOKENS + ["<gallery", "\n;", "[ftp://q r]", "\r"]),
+                    max_size=30).map("".join), st.booleans())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_paragraph_without_warning_strips_alone(self, caplog, text, remove_tables):
+        caplog.clear()
+        plain = [strip_markup(p, remove_tables) for p in text.split("\n\n")]
+        if caplog.records:  # some paragraph is not self-contained
+            return
+        assert "\n\n".join(plain) == strip_markup(text, remove_tables)
+        assert not caplog.records
 
     def test_self_contained_paragraphs_stripped_once(self, caplog):
         paragraphs = ["== Lead ==\n[[Ebola virus|Ebola]] spread.<ref>WHO</ref>",
