@@ -131,23 +131,22 @@ def _middle_snake(a: Sequence[int], b: Sequence[int]):
     raise AssertionError("middle snake not found")  # unreachable
 
 
-def _match_pairs(a, b, a0, a1, b0, b1, out: list) -> None:
+def _unmatched(a, b, a0, a1, b0, b1, deleted: list, added: list) -> None:
+    """Extend deleted and added, in ascending order, with the indices of
+    a[a0:a1] and b[b0:b1] that lie outside one longest common subsequence."""
     while a0 < a1 and b0 < b1 and a[a0] == b[b0]:
-        out.append((a0, b0))
         a0 += 1
         b0 += 1
-    tail = []
     while a1 > a0 and b1 > b0 and a[a1 - 1] == b[b1 - 1]:
         a1 -= 1
         b1 -= 1
-        tail.append((a1, b1))
-    if a1 > a0 and b1 > b0:
+    if a0 < a1 and b0 < b1:
         x, y, u, v = _middle_snake(a[a0:a1], b[b0:b1])
-        _match_pairs(a, b, a0, a0 + x, b0, b0 + y, out)
-        for i in range(u - x):
-            out.append((a0 + x + i, b0 + y + i))
-        _match_pairs(a, b, a0 + u, a1, b0 + v, b1, out)
-    out.extend(reversed(tail))
+        _unmatched(a, b, a0, a0 + x, b0, b0 + y, deleted, added)
+        _unmatched(a, b, a0 + u, a1, b0 + v, b1, deleted, added)
+    else:
+        deleted.extend(range(a0, a1))
+        added.extend(range(b0, b1))
 
 
 def line_diff(old_text: str, new_text: str) -> DiffResult:
@@ -159,16 +158,12 @@ def line_diff(old_text: str, new_text: str) -> DiffResult:
     a_lines = old_text.splitlines()
     b_lines = new_text.splitlines()
     ids: dict[str, int] = {}
-    a = [ids.setdefault(line, len(ids)) for line in a_lines]
-    b = [ids.setdefault(line, len(ids)) for line in b_lines]
-    matches: list[tuple[int, int]] = []
-    _match_pairs(a, b, 0, len(a), 0, len(b), matches)
-    matched_a = {i for i, _ in matches}
-    matched_b = {j for _, j in matches}
-    return DiffResult(
-        added_lines=[line for j, line in enumerate(b_lines) if j not in matched_b],
-        deleted_lines=[line for i, line in enumerate(a_lines) if i not in matched_a],
-    )
+    deleted, added = [], []
+    _unmatched([ids.setdefault(line, len(ids)) for line in a_lines],
+               [ids.setdefault(line, len(ids)) for line in b_lines],
+               0, len(a_lines), 0, len(b_lines), deleted, added)
+    return DiffResult(added_lines=[b_lines[j] for j in added],
+                      deleted_lines=[a_lines[i] for i in deleted])
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +176,11 @@ def char_trigrams(text: str) -> set[str]:
     return {lowered[i:i + 3] for i in range(len(lowered) - 2)}
 
 
-def _jaccard(set_a: set, set_b: set) -> float:
-    """Jaccard similarity of two sets; both empty -> 1.0, exactly one empty -> 0.0."""
-    if not set_a and not set_b:
-        return 1.0
-    if not set_a or not set_b:
-        return 0.0
-    inter = len(set_a & set_b)
-    return inter / (len(set_a) + len(set_b) - inter)
+def _jaccard(common: int, n: int, m: int) -> float:
+    """Jaccard similarity of an n-set and an m-set that share `common`
+    elements; both empty -> 1.0, exactly one empty -> 0.0."""
+    union = n + m - common
+    return common / union if union else 1.0
 
 
 def trigram_jaccard(a: str, b: str) -> float:
@@ -196,7 +188,8 @@ def trigram_jaccard(a: str, b: str) -> float:
 
     Both empty -> 1.0; exactly one empty -> 0.0.
     """
-    return _jaccard(char_trigrams(a), char_trigrams(b))
+    grams_a, grams_b = char_trigrams(a), char_trigrams(b)
+    return _jaccard(len(grams_a & grams_b), len(grams_a), len(grams_b))
 
 
 def _check_threshold(threshold: float) -> None:
@@ -217,9 +210,10 @@ def dedup_sentences(sentences: Sequence, threshold: float = 0.75,
     n-trigram set's trigrams, so their prefixes of n - floor(t*n) rarest
     trigrams share one. Each prefix keeps one trigram more, so float
     rounding of t*n cannot drop a true match, and an empty set's prefix is
-    the single key None, which meets exactly the retained empty sets. A new
+    the single key -1, which meets exactly the retained empty sets. A new
     item is compared only with the retained items whose prefix shares a key
-    with its own.
+    with its own. A set is held as the bitmask of its trigrams' ranks, so a
+    comparison counts the bits of one AND.
 
     Each distinct text's trigrams are computed once. Below threshold 1 an
     exact repeat of an earlier text is dropped without a comparison: J = 1
@@ -236,24 +230,25 @@ def dedup_sentences(sentences: Sequence, threshold: float = 0.75,
     rank = {gram: r for r, gram in
             enumerate(sorted(frequency, key=lambda g: (frequency[g], g)))}
     retained = []
-    retained_sets: list[set[str]] = []
-    index: dict[str | None, list[int]] = defaultdict(list)
+    retained_masks: list[tuple[int, int]] = []  # (rank bitmask, size)
+    index: dict[int, list[int]] = defaultdict(list)
     seen: set[str] = set()  # stays empty at threshold 1, where repeats are kept
     for item, text in zip(items, texts):
         if text in seen:
             continue
         if threshold < 1.0:
             seen.add(text)
-        grams = trigrams[text]
-        n = len(grams)
-        ranked = sorted(grams, key=rank.__getitem__) or [None]
-        prefix = ranked[:n - math.floor(threshold * n) + 1]
-        candidates = {k for gram in prefix for k in index.get(gram, ())}
-        if all(_jaccard(grams, retained_sets[k]) <= threshold for k in candidates):
-            for gram in prefix:
-                index[gram].append(len(retained_sets))
+        ranks = sorted(rank[gram] for gram in trigrams[text])
+        n = len(ranks)
+        mask = sum(1 << r for r in ranks)
+        prefix = ranks[:n - math.floor(threshold * n) + 1] or [-1]
+        candidates = {k for r in prefix for k in index.get(r, ())}
+        if all(_jaccard((mask & other).bit_count(), n, m) <= threshold
+               for other, m in (retained_masks[k] for k in candidates)):
+            for r in prefix:
+                index[r].append(len(retained_masks))
             retained.append(item)
-            retained_sets.append(grams)
+            retained_masks.append((mask, n))
     return retained
 
 
@@ -457,27 +452,27 @@ def build_corpus(revisions: Sequence, threshold: float = 0.75) -> list[list[Labe
 
     One ``strip_markup`` memo serves the whole call, so each distinct
     paragraph is stripped once; ``dedup_sentences`` computes each distinct
-    sentence's trigrams once. The corpus is the same as without either.
+    sentence's trigrams once; each revision's lines are interned once, into
+    one id dict, and diffed for their added lines alone; each distinct token
+    is POS-tagged once. None of this changes the corpus.
     """
     _check_threshold(threshold)
     sentences: list[Sentence] = []
     strip_memo: dict[str, str | None] = {}
-    prev_plain: str | None = None
+    ids: dict[str, int] = {}
+    prev: list[int] | None = None
     for rev in revisions:
         if not rev.wikitext:
             continue
-        plain = strip_markup(rev.wikitext, remove_tables=True, memo=strip_memo)
-        if prev_plain is not None:
-            diff = line_diff(prev_plain, plain)
-            for line in diff.added_lines:
-                sentences.extend(split_sentences(line, source_revision=rev.revision_id))
-        prev_plain = plain
+        lines = strip_markup(rev.wikitext, remove_tables=True, memo=strip_memo).splitlines()
+        cur = [ids.setdefault(line, len(ids)) for line in lines]
+        if prev is not None:
+            added: list[int] = []
+            _unmatched(prev, cur, 0, len(prev), 0, len(cur), [], added)
+            for j in added:
+                sentences.extend(split_sentences(lines[j], source_revision=rev.revision_id))
+        prev = cur
     kept = dedup_sentences(sentences, threshold, key=lambda s: s.text)
-    corpus = []
-    for sent in kept:
-        tags = pos_tag(sent.tokens)
-        corpus.append([
-            LabeledToken(token=tok, pos=tag, label="O")
-            for tok, tag in zip(sent.tokens, tags)
-        ])
-    return corpus
+    tags = {tok: _tag_word(tok) for tok in {tok for sent in kept for tok in sent.tokens}}
+    return [[LabeledToken(token=tok, pos=tags[tok], label="O") for tok in sent.tokens]
+            for sent in kept]

@@ -22,6 +22,7 @@ from outbreakminer.corpus import (
 )
 from outbreakminer.errors import CorpusFormatError
 from outbreakminer.ingest import ArticleRevision
+from outbreakminer.wikitext import split_sentences, strip_markup
 
 
 def _lcs_length(a, b):
@@ -33,6 +34,71 @@ def _lcs_length(a, b):
             curr.append(prev[j - 1] + 1 if x == y else max(prev[j], curr[j - 1]))
         prev = curr
     return prev[-1]
+
+
+def _pairwise_line_diff(old_text, new_text):
+    """Reference line diff: lists every matched (i, j) pair of the same
+    Myers recursion, then takes each side's complement."""
+    a_lines = old_text.splitlines()
+    b_lines = new_text.splitlines()
+    ids = {}
+    a = [ids.setdefault(line, len(ids)) for line in a_lines]
+    b = [ids.setdefault(line, len(ids)) for line in b_lines]
+
+    def match_pairs(a0, a1, b0, b1, out):
+        while a0 < a1 and b0 < b1 and a[a0] == b[b0]:
+            out.append((a0, b0))
+            a0 += 1
+            b0 += 1
+        tail = []
+        while a1 > a0 and b1 > b0 and a[a1 - 1] == b[b1 - 1]:
+            a1 -= 1
+            b1 -= 1
+            tail.append((a1, b1))
+        if a1 > a0 and b1 > b0:
+            x, y, u, v = corpus_module._middle_snake(a[a0:a1], b[b0:b1])
+            match_pairs(a0, a0 + x, b0, b0 + y, out)
+            out.extend((a0 + x + i, b0 + y + i) for i in range(u - x))
+            match_pairs(a0 + u, a1, b0 + v, b1, out)
+        out.extend(reversed(tail))
+
+    matches = []
+    match_pairs(0, len(a), 0, len(b), matches)
+    matched_a = {i for i, _ in matches}
+    matched_b = {j for _, j in matches}
+    return (
+        [line for j, line in enumerate(b_lines) if j not in matched_b],
+        [line for i, line in enumerate(a_lines) if i not in matched_a],
+    )
+
+
+EDIT_LINE = st.sampled_from(["", "", "alpha", "beta", "gamma", "The outbreak began.",
+                             "45 new cases.", "  indented"])
+
+
+@st.composite
+def edit_histories(draw, line=EDIT_LINE, max_lines=12):
+    """Successive versions of a list of lines, each one to four edits after
+    the last: insert, delete, move or duplicate a line."""
+    lines = draw(st.lists(line, max_size=max_lines))
+    history = [lines]
+    for _ in range(draw(st.integers(1, 5))):
+        lines = list(lines)
+        for _ in range(draw(st.integers(1, 4))):
+            op = draw(st.sampled_from(["insert", "delete", "move", "duplicate"]))
+            if op == "insert" or not lines:
+                lines.insert(draw(st.integers(0, len(lines))), draw(line))
+                continue
+            i = draw(st.integers(0, len(lines) - 1))
+            if op == "delete":
+                del lines[i]
+            elif op == "move":
+                moved = lines.pop(i)
+                lines.insert(draw(st.integers(0, len(lines))), moved)
+            else:
+                lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        history.append(lines)
+    return history
 
 
 class TestLineDiff:
@@ -66,6 +132,15 @@ class TestLineDiff:
         # Added lines are a subsequence of the new text, in order.
         it = iter(b)
         assert all(any(line == x for x in it) for line in result.added_lines)
+
+    @given(edit_histories())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_pairwise_reference(self, history):
+        texts = ["\n".join(lines) for lines in history]
+        for old_text, new_text in zip(texts, texts[1:]):
+            result = line_diff(old_text, new_text)
+            assert (result.added_lines, result.deleted_lines) == \
+                _pairwise_line_diff(old_text, new_text)
 
 
 class TestTrigramJaccard:
@@ -166,7 +241,7 @@ class TestDedup:
     def test_exact_repeats_not_compared(self, monkeypatch):
         calls = []
         real = corpus_module._jaccard
-        monkeypatch.setattr(corpus_module, "_jaccard", lambda a, b: calls.append(1) or real(a, b))
+        monkeypatch.setattr(corpus_module, "_jaccard", lambda *args: calls.append(1) or real(*args))
         texts = ["alpha bravo charlie", "alpha bravo charlies"] * 50
         assert dedup_sentences(texts, 0.75) == ["alpha bravo charlie"]
         assert len(calls) == 1
@@ -328,7 +403,58 @@ def _rev(revid, text, ts="2014-07-01T10:00:00Z"):
     )
 
 
+PARAGRAPH = st.sampled_from([
+    "",
+    "Background prose.",
+    "The outbreak began in [[Guinea|southern Guinea]] in March.<ref>WHO</ref>",
+    "The health ministry reported 45 new cases in the Kenema district.",
+    "The health ministry reported 56 new cases in the Kenema district.",
+    "== Response ==\nOfficials sent a team. The team arrived quickly.",
+    "* '''May''': 12 deaths were reported.\n* June: more cases.\nBackground prose.",
+    '{| class="wikitable"\n|-\n| Guinea || 12\n|}\nAfter the table.',
+])
+
+
+@st.composite
+def revision_histories(draw):
+    """Revisions whose paragraphs are inserted, deleted, moved and repeated,
+    with blanked revisions and reverts to earlier texts between them."""
+    texts = []
+    for paragraphs in draw(edit_histories(PARAGRAPH, max_lines=6)):
+        event = draw(st.sampled_from(["none", "none", "blank", "revert"]))
+        if event == "blank":
+            texts.append("")
+        elif event == "revert" and texts:
+            texts.append(draw(st.sampled_from(texts)))
+        texts.append("\n\n".join(paragraphs))
+    return [_rev(revid, text) for revid, text in enumerate(texts, start=1)]
+
+
+def _pairwise_corpus(revisions, threshold):
+    """Reference corpus: the per-pair pipeline, with each revision stripped
+    without a memo, each pair diffed by the reference line diff and each
+    sentence tagged by pos_tag."""
+    sentences = []
+    prev_plain = None
+    for rev in revisions:
+        if not rev.wikitext:
+            continue
+        plain = strip_markup(rev.wikitext, remove_tables=True)
+        if prev_plain is not None:
+            for line in _pairwise_line_diff(prev_plain, plain)[0]:
+                sentences.extend(split_sentences(line, source_revision=rev.revision_id))
+        prev_plain = plain
+    kept = dedup_sentences(sentences, threshold, key=lambda s: s.text)
+    return [[LabeledToken(tok, tag, "O") for tok, tag in zip(sent.tokens, pos_tag(sent.tokens))]
+            for sent in kept]
+
+
 class TestBuildCorpus:
+    @given(revision_histories(), st.sampled_from([0.0, 0.5, 0.75, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_pipeline(self, revisions, threshold):
+        assert build_corpus(revisions, threshold) == _pairwise_corpus(revisions, threshold)
+
     def test_identical_revisions_empty(self):
         text = "Some prose here. More prose."
         assert build_corpus([_rev(1, text), _rev(2, text)]) == []
