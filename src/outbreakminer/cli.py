@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import OutbreakError
+from .textio import open_text, read_json, read_text
 
 # Each handler imports the layers it runs, so a command loads only those.
 if TYPE_CHECKING:
@@ -58,21 +59,20 @@ def _parse_day(text: str) -> date:
         raise _UsageError(f"bad date {text!r}; use YYYY-MM-DD") from None
 
 
+def _output(destination: str | None):
+    """stdout for None or "-", otherwise the path."""
+    return sys.stdout if destination in (None, "-") else destination
+
+
 def _write_json(payload, destination: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    if destination is None or destination == "-":
-        sys.stdout.write(text)
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
+    with open_text(_output(destination), "w", newline=None) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 @contextmanager
 def _csv_writer(destination: str | None):
     """A csv.writer on stdout for None or "-", otherwise on a file it closes."""
-    if destination is None or destination == "-":
-        yield csv.writer(sys.stdout, lineterminator="\n")
-        return
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
+    with open_text(_output(destination), "w", newline="") as handle:
         yield csv.writer(handle, lineterminator="\n")
 
 
@@ -150,9 +150,9 @@ def cmd_fetch(args) -> int:
 def cmd_clean(args) -> int:
     from .wikitext import strip_markup
 
-    text = Path(args.input).read_text(encoding="utf-8")
-    cleaned = strip_markup(text, remove_tables=not args.keep_tables)
-    Path(args.output).write_text(cleaned, encoding="utf-8")
+    cleaned = strip_markup(read_text(args.input), remove_tables=not args.keep_tables)
+    with open_text(args.output, "w", newline=None) as handle:
+        handle.write(cleaned)
     return 0
 
 
@@ -173,8 +173,7 @@ def cmd_tables(args) -> int:
         raise _UsageError("tables: --in and --out are required (or use a subcommand)")
     from .wikitext import parse_tables
 
-    text = Path(args.input).read_text(encoding="utf-8")
-    tables = parse_tables(text)
+    tables = parse_tables(read_text(args.input))
     _write_json([{"header": t.header, "rows": t.rows} for t in tables], args.output)
     return 0
 
@@ -182,10 +181,10 @@ def cmd_tables(args) -> int:
 def _load_revision_series(path: str) -> list[RevisionSeries]:
     from .timeseries import revision_series_from_dict
 
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     try:
         return [revision_series_from_dict(item) for item in data]
-    except (LookupError, TypeError, AttributeError) as exc:
+    except (LookupError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         problem = f"{type(exc).__name__}: {exc}"
         raise OutbreakError(f"{path}: malformed revision series ({problem})") from None
 
@@ -318,9 +317,8 @@ def cmd_ner(args) -> int:
         return 0
     if args.ner_cmd == "tag":
         model = crf_mod.load_model(args.model)
-        text = Path(args.input).read_text(encoding="utf-8")
         output = []
-        for sentence in split_sentences(text):
+        for sentence in split_sentences(read_text(args.input)):
             pos = corpus_mod.pos_tag(sentence.tokens)
             result = crf_mod.viterbi(model, sentence.tokens, pos, constrain_iob=True)
             output.append({
@@ -378,7 +376,7 @@ def cmd_ner(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    payload = read_json(args.input)
     if not isinstance(payload, dict):
         raise OutbreakError(f"{args.input}: a report must be a JSON object with a \"kind\"")
     try:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .corpus import LABELS, LabeledToken, pos_tag
 from .errors import IobStructureError, ModelFormatError, TrainingError
+from .textio import open_text, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -682,7 +683,7 @@ def save_model(model: CrfModel, destination) -> None:
     """Versioned line-based UTF-8 model file; full float round-trip precision."""
     emission_w = model.emission_weights
     trans = model.transition_weights
-    with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+    with open_text(destination, "w", newline="\n") as handle:
         handle.write(f"crf-model\t{MODEL_FORMAT_VERSION}\n")
         handle.write("labels\t" + "\t".join(model.labels) + "\n")
         cfg = model.config
@@ -714,8 +715,7 @@ def _parse_weight(value: str, line_no: int) -> float:
 
 def load_model(source) -> CrfModel:
     """Inverse of save_model; load(save(m)) reproduces m exactly."""
-    with open(source, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+    lines = read_text(source).split("\n")
     if not lines or not lines[0].startswith("crf-model\t"):
         raise ModelFormatError("missing crf-model header line")
     version = lines[0].split("\t", 1)[1]

@@ -23,7 +23,8 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable
 
-from .errors import ArticleNotFoundError, CacheError, PayloadError, TransportError
+from .errors import ArticleNotFoundError, CacheError, OutbreakError, PayloadError, TransportError
+from .textio import read_json
 
 logger = logging.getLogger(__name__)
 
@@ -90,9 +91,9 @@ class RevisionCache:
     def _read(path: Path) -> dict:
         """One cache file's JSON object; CacheError naming the file otherwise."""
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise CacheError(f"corrupt cache file {path}: {exc}") from exc
+            data = read_json(path)
+        except OutbreakError as exc:  # its message starts with the path
+            raise CacheError(f"corrupt cache file {exc}") from exc
         if not isinstance(data, dict):
             raise CacheError(f"corrupt cache file {path}: not a JSON object")
         return data
@@ -148,18 +149,20 @@ def revision_from_record(record: dict) -> ArticleRevision | None:
     """API record -> ArticleRevision; None for suppressed/deleted content."""
     if any(key in record for key in ("texthidden", "suppressed")):
         return None
-    content = None
-    slots = record.get("slots")
-    if isinstance(slots, dict):
-        main = slots.get("main", {})
-        if "texthidden" in main:
-            return None
-        content = main.get("content", main.get("*"))
-    if content is None:
-        content = record.get("content", record.get("*"))
-    if content is None:
-        return None
     try:
+        content = None
+        slots = record.get("slots")
+        if isinstance(slots, dict):
+            main = slots.get("main", {})
+            if not isinstance(main, dict):
+                raise TypeError(f"slots.main is {type(main).__name__}, not an object")
+            if "texthidden" in main:
+                return None
+            content = main.get("content", main.get("*"))
+        if content is None:
+            content = record.get("content", record.get("*"))
+        if content is None:
+            return None
         if not isinstance(content, str):
             raise TypeError(f"content is {type(content).__name__}, not a string")
         return ArticleRevision(

@@ -348,6 +348,15 @@ def dedup_series(per_revision: list[RevisionSeries]) -> list[RevisionSeries]:
     return retained
 
 
+def _csv_rows(handle, source):
+    """The rows of a CSV file; a line the csv module rejects (a field over its
+    size limit, or a NUL before Python 3.11) is a GroundTruthError naming it."""
+    try:
+        yield from csv.reader(handle)
+    except csv.Error as exc:
+        raise GroundTruthError(f"{source}: {exc}") from None
+
+
 def load_ground_truth(source) -> GroundTruthSet:
     """Canonical CSV (date,country,metric,value) into an interpolated truth set.
 
@@ -356,7 +365,7 @@ def load_ground_truth(source) -> GroundTruthSet:
     row.
     """
     with open_text(source, "r", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle, source)
         try:
             header = next(reader)
         except StopIteration:
@@ -424,8 +433,8 @@ def import_rivers_ground_truth(source, destination) -> int:
     dates are M/D/YYYY; blank cells mean no report. Returns the number of
     rows written.
     """
-    with open(source, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    with open_text(source, "r", newline="") as handle:
+        reader = _csv_rows(handle, source)
         try:
             header = next(reader)
         except StopIteration:
@@ -483,7 +492,7 @@ def import_rivers_ground_truth(source, destination) -> int:
                 seen.add(key)
                 rows.append((when, country, metric, value))
     rows.sort(key=lambda r: (r[1], r[2], r[0]))
-    with open(destination, "w", encoding="utf-8", newline="") as out:
+    with open_text(destination, "w", newline="") as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["date", "country", "metric", "value"])
         for when, country, metric, value in rows:
@@ -573,7 +582,10 @@ def rmse(pair: AlignedPair) -> float:
         raise ValueError("aligned pair is empty")
     total = 0.0
     for a, b in zip(pair.y_hat, pair.y):
-        total += (a - b) ** 2
+        try:
+            total += (a - b) ** 2
+        except OverflowError:  # a finite difference beyond about 1.3e154
+            return math.inf
     return math.sqrt(total / pair.n)
 
 
@@ -643,23 +655,29 @@ def revision_series_to_dict(rev: RevisionSeries) -> dict:
 
 
 def revision_series_from_dict(data: dict) -> RevisionSeries:
+    """Inverse of revision_series_to_dict; a malformed dict raises LookupError,
+    TypeError, AttributeError, ValueError or OverflowError."""
+    revision_id = data["revision_id"]
+    if type(revision_id) is not int:
+        raise TypeError(f"revision_id {revision_id!r} is not an integer")
     ts = datetime.fromisoformat(data["timestamp"]) if data.get("timestamp") else None
-    series = [
-        TimeSeries(
-            country=item["country"],
-            metric=item["metric"],
-            points={
-                datetime.strptime(d, "%Y-%m-%d").date(): float(v)
-                for d, v in item["points"].items()
-            },
-            source_revision=data["revision_id"],
+    series = []
+    for item in data["series"]:
+        country, metric = item["country"], item["metric"]
+        if not (isinstance(country, str) and isinstance(metric, str)):
+            raise TypeError(f"revision {revision_id}: country and metric must be strings")
+        points = {datetime.strptime(d, "%Y-%m-%d").date(): float(v)
+                  for d, v in item["points"].items()}
+        if not points:  # extract_series writes no empty series
+            raise ValueError(f"revision {revision_id}: {country}/{metric} has no points")
+        series.append(TimeSeries(
+            country=country,
+            metric=metric,
+            points=points,
+            source_revision=revision_id,
             interpolated_dates={
                 datetime.strptime(d, "%Y-%m-%d").date()
                 for d in item.get("interpolated_dates", [])
             },
-        )
-        for item in data["series"]
-    ]
-    return RevisionSeries(
-        revision_id=data["revision_id"], timestamp=ts, series=series
-    )
+        ))
+    return RevisionSeries(revision_id=revision_id, timestamp=ts, series=series)

@@ -1,14 +1,21 @@
 import csv
 import hashlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import outbreakminer
+import outbreakminer.ingest as ingest_mod
 from outbreakminer.cli import build_parser, main
 from outbreakminer.corpus import LabeledToken, write_iob_tsv
 from outbreakminer.ingest import RevisionCache
@@ -164,7 +171,17 @@ class TestTables:
         [{"revision_id": 1, "timestamp": None,
           "series": [{"country": "Guinea", "points": {}}]}],
         {"a": 1},
-    ], ids=["no-series", "no-metric", "object"])
+        [{"revision_id": 1, "timestamp": "x", "series": []}],
+        [{"revision_id": 1, "timestamp": None,
+          "series": [{"country": "Guinea", "metric": "cases", "points": {"2014-07-01": "abc"}}]}],
+        [{"revision_id": [1], "timestamp": None,
+          "series": [{"country": "Guinea", "metric": "cases", "points": {"2014-07-01": 1}}]}],
+        [{"revision_id": 1, "timestamp": None,
+          "series": [{"country": "Guinea", "metric": "cases", "points": {}}]}],
+        [{"revision_id": 1, "timestamp": None,
+          "series": [{"country": "Guinea", "metric": "cases", "points": {"2014-07-01": 10**400}}]}],
+    ], ids=["no-series", "no-metric", "object", "bad-timestamp", "text-value", "list-id",
+            "no-points", "huge-value"])
     @pytest.mark.parametrize("command", ["interpolate", "rmse"])
     def test_malformed_series_is_one_error_line(self, tmp_path, capsys, ground_truth_path,
                                                 command, payload):
@@ -665,3 +682,178 @@ class TestDeterminism:
             )
             models.append(model.read_bytes())
         assert models[0] == models[1]
+
+
+# ---------------------------------------------------------------------------
+# every failure on a damaged input is one named error line
+# ---------------------------------------------------------------------------
+
+_TITLE = "Example outbreak"
+_FETCH = ["fetch", "--title", _TITLE, "--cache", "{root}/cache"]
+_RMSE = ["rmse", "--cache", "{root}/cache", "--title", _TITLE, "--truth", "{root}/truth.csv",
+         "--out", "{root}/out.csv"]
+_BUILD = ["corpus", "build", "--cache", "{root}/cache", "--title", _TITLE,
+          "--out", "{root}/out.tsv"]
+_SCORE = ["tables", "rmse", "--in", "{root}/series.json", "--truth", "{root}/truth.csv",
+          "--out", "{root}/out.csv", "--out-json", "{root}/out.json"]
+_TAG = ["ner", "tag", "--model", "{root}/model.tsv", "--in", "{root}/page.wiki",
+        "--out", "{root}/out.json"]
+
+# Each input kind the CLI reads: its file, whether it is JSON, the separator
+# of its fields, and the runs that read it. A fetch whose index no longer
+# answers the query asks the test's offline API.
+_KINDS = {
+    "cache-record": ("cache/Example%20outbreak/105.json", True, None, [_RMSE, _BUILD]),
+    "index": ("cache/Example%20outbreak/index.json", True, None, [_FETCH]),
+    "series": ("series.json", True, None,
+               [["tables", "interpolate", "--in", "{root}/series.json",
+                 "--out", "{root}/out.json"], _SCORE]),
+    "report": ("report.json", True, None,
+               [["report", "--in", "{root}/report.json", "--out", "{root}/out.csv"]]),
+    "model": ("model.tsv", False, "\t", [_TAG]),
+    "long-truth": ("truth.csv", False, ",", [_SCORE]),
+    "wide-truth": ("wide.csv", False, ",",
+                   [["tables", "import-truth", "--in", "{root}/wide.csv",
+                     "--out", "{root}/out.csv"]]),
+    "iob": ("corpus.tsv", False, "\t",
+            [["corpus", "kappa", "--a", "{root}/corpus.tsv", "--b", "{root}/corpus-b.tsv"],
+             ["ner", "train", "--corpus", "{root}/corpus.tsv", "--out", "{root}/out.tsv",
+              "--max-iter", "3"]]),
+    "wikitext": ("page.wiki", False, "|",
+                 [["clean", "--in", "{root}/page.wiki", "--out", "{root}/out.txt"],
+                  ["tables", "--in", "{root}/page.wiki", "--out", "{root}/out.json"], _TAG]),
+}
+
+_OTHER_TYPES = [None, True, 0, -1, 1.5, 1e308, "", "x", "2014-13-45", [], ["x"], {}, {"x": 1}]
+_OTHER_CELLS = ["", "x", "0", "-1", "1e308", "nan", "2014-13-45", "B-CASES"]
+_DEEP = "\x01deep\x01"  # stands for the nested lists until the document is serialized
+_DAMAGES = ["truncate", "delete-line", "swap-type", "not-utf8", "nul", "deep"]
+
+
+def _damage(kind: str, damage: str, data: bytes, draw) -> bytes:
+    """The file's bytes with one damage, placed by draws."""
+    _, is_json, separator, _ = _KINDS[kind]
+    at = draw(st.integers(0, len(data)))
+    if damage == "truncate":
+        return data[:at]
+    if damage == "not-utf8":
+        return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    if damage == "nul":
+        return data[:at] + b"\x00" + data[at:]
+    depth = draw(st.sampled_from([3, 100_000]))
+    if damage == "deep" and not is_json:
+        return data[:at] + b"[" * depth + data[at:]
+    lines = data.split(b"\n")
+    line = draw(st.integers(0, len(lines) - 1))
+    if damage == "delete-line":
+        return b"\n".join(lines[:line] + lines[line + 1:])
+    if not is_json:  # swap one field of one line
+        fields = lines[line].split(separator.encode())
+        field = draw(st.integers(0, len(fields) - 1))
+        fields[field] = draw(st.sampled_from(
+            [cell for cell in _OTHER_CELLS if cell.encode() != fields[field]])).encode()
+        lines[line] = separator.encode().join(fields)
+        return b"\n".join(lines)
+    try:
+        document = json.loads(data)
+    except (ValueError, RecursionError):
+        return data
+    nodes = [(None, None)]  # (container, key) of every value, the root first
+    stack = [document] if isinstance(document, (dict, list)) else []
+    while stack:
+        node = stack.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            nodes.append((node, key))
+            if isinstance(value, (dict, list)):
+                stack.append(value)
+    container, key = draw(st.sampled_from(nodes))
+    old = document if container is None else container[key]
+    new = _DEEP if damage == "deep" else draw(st.sampled_from(
+        [value for value in _OTHER_TYPES if type(value) is not type(old)]))
+    if container is None:
+        document = new
+    else:
+        container[key] = new
+    text = json.dumps(document).replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
+    return text.encode()
+
+
+def _unreadable(kind: str, data: bytes) -> bool:
+    """Whether the bytes are not UTF-8, or not JSON for a JSON kind."""
+    try:
+        text = data.decode("utf-8")
+        if _KINDS[kind][1]:
+            json.loads(text)
+    except (ValueError, RecursionError):
+        return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory, fixture_records, ground_truth_path, rivers_sample_path):
+    """A directory with one valid file of each kind."""
+    from outbreakminer.crf import FeatureConfig, save_model, train
+
+    root = tmp_path_factory.mktemp("pristine")
+    cache = RevisionCache(root / "cache")
+    for record in fixture_records:
+        cache.put_record(_TITLE, record)
+    cache.save_index(_TITLE, {"article_title": _TITLE, "queries": {"*..*": {
+        "revision_ids": [record["revid"] for record in fixture_records],
+        "skipped_suppressed": 0, "fetched_at": "2014-08-01T00:00:00Z"}}})
+    (root / "truth.csv").write_bytes(ground_truth_path.read_bytes())
+    (root / "wide.csv").write_bytes(rivers_sample_path.read_bytes())
+    assert main(["tables", "extract", "--cache", str(root / "cache"), "--title", _TITLE,
+                 "--out", str(root / "series.json")]) == 0
+    assert main(["tables", "rmse", "--in", str(root / "series.json"),
+                 "--truth", str(root / "truth.csv"), "--out-json", str(root / "report.json")]) == 0
+    corpus = generate_labeled_corpus(4, seed=3)
+    write_iob_tsv(corpus, root / "corpus.tsv")
+    write_iob_tsv(corpus, root / "corpus-b.tsv")
+    save_model(train(corpus, FeatureConfig(max_ngram_len=1, window=1), max_iter=3),
+               root / "model.tsv")
+    (root / "page.wiki").write_text(
+        "Officials said [[Guinea|12]] people died.\n{|\n! Date !! Guinea cases\n"
+        "|-\n| 1 July 2014 || 5\n|}\n", encoding="utf-8")
+    return root
+
+
+def _offline(endpoint):
+    """A wiki API that reports every article missing."""
+    return lambda params: {"query": {"pages": [{"missing": True}]}}
+
+
+class TestDamagedInputs:
+    """A damaged input never ends in a traceback: a run exits 0, or exits 1 with
+    one last `error:` line, which names the file when it is not UTF-8 or not JSON."""
+
+    @pytest.mark.parametrize("damage", _DAMAGES)
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_failure_is_one_named_error_line(self, pristine, tmp_path_factory, kind, damage,
+                                             data):
+        relative, _, _, runs = _KINDS[kind]
+        body = _damage(kind, damage, (pristine / relative).read_bytes(), data.draw)
+        if data.draw(st.booleans()):
+            body = _damage(kind, data.draw(st.sampled_from(_DAMAGES)), body, data.draw)
+        argv = data.draw(st.sampled_from(runs))
+        root = tmp_path_factory.mktemp("damaged")
+        shutil.copytree(pristine, root, dirs_exist_ok=True)
+        path = root / relative
+        path.write_bytes(body)
+        err = io.StringIO()
+        with mock.patch.object(ingest_mod, "_default_get_json", _offline), \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([arg.format(root=root) for arg in argv])
+        shutil.rmtree(root)
+        lines = err.getvalue().splitlines()
+        errors = [line for line in lines if line.startswith("error: ")]
+        if code == 0:
+            assert not errors and not _unreadable(kind, body)
+            return
+        assert code == 1 and errors == lines[-1:]
+        if _unreadable(kind, body):
+            assert str(path) in errors[0]

@@ -157,7 +157,8 @@ class TestRevisionFromRecord:
 
     @pytest.mark.parametrize("field, value", [
         ("timestamp", 5), ("content", ["x"]), ("content", {"text": "x"}),
-    ], ids=["int-timestamp", "list-content", "dict-content"])
+        ("slots", {"main": ["x"]}),
+    ], ids=["int-timestamp", "list-content", "dict-content", "list-main-slot"])
     def test_mistyped_field_is_payload_error_naming_revision(self, field, value):
         record = {"revid": 5, "timestamp": "2014-01-01T00:00:00Z", "content": "x",
                   field: value}
@@ -234,7 +235,7 @@ class TestCacheFiles:
         ("901.json", lambda cache: cache.load_all_records("Example outbreak")),
         ("index.json", lambda cache: cache.load_index("Example outbreak")),
     ], ids=["get_record", "load_all_records", "load_index"])
-    @pytest.mark.parametrize("damage", ["truncate", "not_object", "not_utf8"])
+    @pytest.mark.parametrize("damage", ["truncate", "not_object", "not_utf8", "deep"])
     def test_corrupt_file_is_cache_error_naming_it(self, api_pages, tmp_path,
                                                    name, read, damage):
         get_json, _ = replay(api_pages)
@@ -243,7 +244,7 @@ class TestCacheFiles:
         path = cache.article_dir("Example outbreak") / name
         body = path.read_bytes()
         path.write_bytes({"truncate": body[:len(body) // 2], "not_object": b"[1, 2]",
-                          "not_utf8": b'{"revid": "\xff"}'}[damage])
+                          "not_utf8": b'{"revid": "\xff"}', "deep": b"[" * 100000}[damage])
         with pytest.raises(CacheError, match=re.escape(str(path))):
             read(cache)
 

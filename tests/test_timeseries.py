@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -250,6 +251,13 @@ class TestLoadGroundTruth:
         with pytest.raises(GroundTruthError):
             load_ground_truth(io.StringIO("when,where,what,how\n"))
 
+    def test_field_over_csv_limit_names_file(self, tmp_path):
+        src = tmp_path / "truth.csv"
+        src.write_text(GOOD_CSV + "2014-07-04,Guinea," + "x" * 200_000 + ",1\n")
+        limit = f"^{re.escape(str(src))}: field larger than field limit"
+        with pytest.raises(GroundTruthError, match=limit):
+            load_ground_truth(src)
+
     def test_truth_is_interpolated(self):
         gappy = "date,country,metric,value\n2014-07-01,Guinea,cases,10\n2014-07-03,Guinea,cases,20\n"
         truth = load_ground_truth(io.StringIO(gappy))
@@ -270,6 +278,15 @@ class TestRiversImport:
         # The normalized file loads as canonical ground truth.
         truth = load_ground_truth(out)
         assert ("Guinea", "cases") in truth.series
+
+
+    def test_field_over_csv_limit_names_file(self, tmp_path):
+        src = tmp_path / "wide.csv"
+        src.write_text("Date,Cases_Guinea\n1/5/2015," + "9" * 200_000 + "\n")
+        limit = f"^{re.escape(str(src))}: field larger than field limit"
+        with pytest.raises(GroundTruthError, match=limit):
+            import_rivers_ground_truth(src, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestAlign:
@@ -314,6 +331,10 @@ class TestRmse:
             [D(2014, 7, 1), D(2014, 7, 2)], [10.0, 20.0], [7.0, 17.0]
         )
         assert rmse(pair) == pytest.approx(3.0, abs=1e-12)
+
+    def test_overflowing_square_is_inf(self):
+        pair = AlignedPair([D(2014, 7, 1), D(2014, 7, 2)], [1e200, 1.0], [0.0, 1.0])
+        assert rmse(pair) == math.inf
 
     @given(
         st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=10),
