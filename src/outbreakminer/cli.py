@@ -20,7 +20,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import OutbreakError
+from .errors import ModelFormatError, OutbreakError
 from .textio import open_text, read_json, read_text
 
 # Each handler imports the layers it runs, so a command loads only those.
@@ -316,24 +316,31 @@ def cmd_ner(args) -> int:
         )
         return 0
     if args.ner_cmd == "tag":
+        import numpy as np
+
         model = crf_mod.load_model(args.model)
         output = []
-        for sentence in split_sentences(read_text(args.input)):
-            pos = corpus_mod.pos_tag(sentence.tokens)
-            result = crf_mod.viterbi(model, sentence.tokens, pos, constrain_iob=True)
-            output.append({
-                "tokens": sentence.tokens,
-                "labels": result.labels,
-                "spans": [
-                    {
-                        "type": ent,
-                        "start": start,
-                        "end": end,
-                        "text": " ".join(sentence.tokens[start:end + 1]),
-                    }
-                    for ent, start, end in result.spans
-                ],
-            })
+        # Finite weights can overflow a path score, and labels picked from inf or nan mean nothing.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for sentence in split_sentences(read_text(args.input)):
+                    pos = corpus_mod.pos_tag(sentence.tokens)
+                    result = crf_mod.viterbi(model, sentence.tokens, pos, constrain_iob=True)
+                    output.append({
+                        "tokens": sentence.tokens,
+                        "labels": result.labels,
+                        "spans": [
+                            {
+                                "type": ent,
+                                "start": start,
+                                "end": end,
+                                "text": " ".join(sentence.tokens[start:end + 1]),
+                            }
+                            for ent, start, end in result.spans
+                        ],
+                    })
+        except FloatingPointError as exc:
+            raise ModelFormatError(f"{args.model}: weights overflow in decoding ({exc})") from None
         _write_json(output, args.output)
         return 0
     if args.ner_cmd == "eval":

@@ -74,14 +74,17 @@ class RevisionCache:
         return self.root / urllib.parse.quote(title, safe="")
 
     def _atomic_write(self, path: Path, payload: dict) -> None:
-        text = json.dumps(payload, ensure_ascii=False, sort_keys=True)
+        try:
+            data = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate in a string
+            raise CacheError(f"{path}: {exc}") from None
         path.parent.mkdir(parents=True, exist_ok=True)
         # A temp file of its own per write, so concurrent writers of one path
         # never share one; the *.json glob skips it.
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -39,15 +39,7 @@ class TimeSeries:
     country: str
     metric: str
     points: dict[date, float] = field(default_factory=dict)
-    source_revision: int | None = None
     interpolated_dates: set[date] = field(default_factory=set)
-
-    def sorted_dates(self) -> list[date]:
-        return sorted(self.points)
-
-    def value_signature(self) -> tuple:
-        """Identity used for duplicate detection: country, metric, data."""
-        return (self.country, self.metric, tuple(sorted(self.points.items())))
 
 
 @dataclass
@@ -57,14 +49,6 @@ class RevisionSeries:
     revision_id: int
     timestamp: datetime | None
     series: list[TimeSeries]
-
-    def signature(self) -> frozenset:
-        return frozenset(s.value_signature() for s in self.series)
-
-
-@dataclass
-class GroundTruthSet:
-    series: dict[tuple[str, str], TimeSeries] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -292,7 +276,7 @@ def extract_series(tables: list[RawTable], mapping: ColumnMapping = DEFAULT_MAPP
                     continue
                 collected.setdefault((country, metric), {})[when] = value
         return [
-            TimeSeries(country=c, metric=m, points=pts, source_revision=revision_id)
+            TimeSeries(country=c, metric=m, points=pts)
             for (c, m), pts in collected.items()
             if pts
         ]
@@ -330,21 +314,20 @@ def interpolate_daily(series: TimeSeries) -> TimeSeries:
         country=series.country,
         metric=series.metric,
         points=points,
-        source_revision=series.source_revision,
         interpolated_dates=series.interpolated_dates | filled,
     )
 
 
 def dedup_series(per_revision: list[RevisionSeries]) -> list[RevisionSeries]:
-    """Drop revisions whose series set equals the most recent retained one."""
+    """Drop revisions whose (country, metric) -> points map equals the most
+    recent retained one's."""
     retained: list[RevisionSeries] = []
-    last_signature = None
+    last = None
     for rev in per_revision:
-        sig = rev.signature()
-        if last_signature is not None and sig == last_signature:
-            continue
-        retained.append(rev)
-        last_signature = sig
+        data = {(s.country, s.metric): s.points for s in rev.series}
+        if data != last:
+            retained.append(rev)
+            last = data
     return retained
 
 
@@ -357,8 +340,8 @@ def _csv_rows(handle, source):
         raise GroundTruthError(f"{source}: {exc}") from None
 
 
-def load_ground_truth(source) -> GroundTruthSet:
-    """Canonical CSV (date,country,metric,value) into an interpolated truth set.
+def load_ground_truth(source) -> dict[tuple[str, str], TimeSeries]:
+    """Canonical CSV (date,country,metric,value) into interpolated series by (country, metric).
 
     Duplicate (date, country, metric) keys, bad dates, unknown metrics,
     non-finite and negative values are load errors naming the 1-based data
@@ -375,7 +358,7 @@ def load_ground_truth(source) -> GroundTruthSet:
             raise GroundTruthError(
                 f"ground-truth header must be {','.join(expected)}, got {','.join(header)}"
             )
-        truth = GroundTruthSet()
+        truth: dict[tuple[str, str], TimeSeries] = {}
         for row_no, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -410,17 +393,14 @@ def load_ground_truth(source) -> GroundTruthSet:
                     f"row {row_no}: negative value {value}", row=row_no
                 )
             key = (country, metric)
-            series = truth.series.setdefault(
-                key, TimeSeries(country=country, metric=metric)
-            )
+            series = truth.setdefault(key, TimeSeries(country=country, metric=metric))
             if when in series.points:
                 raise GroundTruthError(
                     f"row {row_no}: duplicate entry for ({raw_date}, {country}, {metric})",
                     row=row_no,
                 )
             series.points[when] = value
-    truth.series = {key: interpolate_daily(s) for key, s in truth.series.items()}
-    return truth
+    return {key: interpolate_daily(s) for key, s in truth.items()}
 
 
 _RIVERS_COLUMN = re.compile(r"^(Cases|Deaths)_(.+)$")
@@ -513,11 +493,10 @@ def extract_revision_series(revisions, mapping: ColumnMapping = DEFAULT_MAPPING,
     memos serves every revision of the call: ``parse_tables`` parses each
     distinct table block and line once, ``extract_series`` plans each
     distinct header and parses each distinct cell once, and each distinct
-    raw series is interpolated once. Each revision still gets its own
-    TimeSeries objects with its own ``source_revision``; those with equal
-    raw points share one ``points`` dict and one ``interpolated_dates``
-    set, which nothing downstream mutates. A malformed table line's warning
-    is logged once per call; per-cell warnings are logged per revision.
+    raw series (country, metric and points) is interpolated once into one
+    TimeSeries, shared by every revision that repeats it; nothing downstream
+    mutates it. A malformed table line's warning is logged once per
+    call; per-cell warnings are logged per revision.
     """
     from .wikitext import parse_tables
 
@@ -531,7 +510,11 @@ def extract_revision_series(revisions, mapping: ColumnMapping = DEFAULT_MAPPING,
         if not series:
             continue
         if interpolate:
-            series = [_interpolated(s, daily) for s in series]
+            for idx, raw in enumerate(series):
+                key = (raw.country, raw.metric, tuple(raw.points.items()))
+                if key not in daily:
+                    daily[key] = interpolate_daily(raw)
+                series[idx] = daily[key]
         series.sort(key=lambda s: (s.country, s.metric))
         sets.append(RevisionSeries(
             revision_id=rev.revision_id,
@@ -539,18 +522,6 @@ def extract_revision_series(revisions, mapping: ColumnMapping = DEFAULT_MAPPING,
             series=series,
         ))
     return sets
-
-
-def _interpolated(series: TimeSeries, memo: dict[tuple, TimeSeries]) -> TimeSeries:
-    """``interpolate_daily(series)``, whose points and filled dates come from
-    ``memo`` when a series with the same raw points was filled before."""
-    key = tuple(series.points.items())
-    if key not in memo:
-        memo[key] = interpolate_daily(series)
-    filled = memo[key]
-    return TimeSeries(country=series.country, metric=series.metric, points=filled.points,
-                      source_revision=series.source_revision,
-                      interpolated_dates=filled.interpolated_dates)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +560,7 @@ def rmse(pair: AlignedPair) -> float:
     return math.sqrt(total / pair.n)
 
 
-def rmse_report(unique_sets: list[RevisionSeries], truth: GroundTruthSet,
+def rmse_report(unique_sets: list[RevisionSeries], truth: dict[tuple[str, str], TimeSeries],
                 start: date | None = None) -> RmseReport:
     """Score every retained revision's series against ground truth.
 
@@ -598,8 +569,7 @@ def rmse_report(unique_sets: list[RevisionSeries], truth: GroundTruthSet,
     retained revision equally.
     """
     per_revision: dict[tuple[int, str, str], float] = {}
-    gaps: list[tuple[str, str]] = []
-    gap_seen: set[tuple[str, str]] = set()
+    gaps: dict[tuple[str, str], None] = {}  # in first-seen order
     by_key: dict[tuple[str, str], list[float]] = {}
     revisions = []
     for rev in unique_sets:
@@ -607,13 +577,11 @@ def rmse_report(unique_sets: list[RevisionSeries], truth: GroundTruthSet,
         revisions.append((rev.revision_id, ts))
         for series in rev.series:
             key = (series.country, series.metric)
-            if key not in truth.series:
-                if key not in gap_seen:
-                    gap_seen.add(key)
-                    gaps.append(key)
+            if key not in truth:
+                gaps[key] = None
                 continue
             try:
-                pair = align(series, truth.series[key], start=start)
+                pair = align(series, truth[key], start=start)
             except AlignmentError:
                 logger.warning(
                     "revision %s: no overlap with truth for %s; skipped",
@@ -629,7 +597,7 @@ def rmse_report(unique_sets: list[RevisionSeries], truth: GroundTruthSet,
     return RmseReport(
         per_revision=per_revision,
         mean_per_country=mean_per_country,
-        gaps=gaps,
+        gaps=list(gaps),
         revisions=revisions,
     )
 
@@ -656,12 +624,13 @@ def revision_series_to_dict(rev: RevisionSeries) -> dict:
 
 def revision_series_from_dict(data: dict) -> RevisionSeries:
     """Inverse of revision_series_to_dict; a malformed dict raises LookupError,
-    TypeError, AttributeError, ValueError or OverflowError."""
+    TypeError, AttributeError, ValueError or OverflowError. A (country, metric)
+    pair may appear once per revision, as extract_series writes it."""
     revision_id = data["revision_id"]
     if type(revision_id) is not int:
         raise TypeError(f"revision_id {revision_id!r} is not an integer")
     ts = datetime.fromisoformat(data["timestamp"]) if data.get("timestamp") else None
-    series = []
+    series: dict[tuple[str, str], TimeSeries] = {}
     for item in data["series"]:
         country, metric = item["country"], item["metric"]
         if not (isinstance(country, str) and isinstance(metric, str)):
@@ -670,14 +639,15 @@ def revision_series_from_dict(data: dict) -> RevisionSeries:
                   for d, v in item["points"].items()}
         if not points:  # extract_series writes no empty series
             raise ValueError(f"revision {revision_id}: {country}/{metric} has no points")
-        series.append(TimeSeries(
+        if (country, metric) in series:
+            raise ValueError(f"revision {revision_id}: {country}/{metric} appears twice")
+        series[country, metric] = TimeSeries(
             country=country,
             metric=metric,
             points=points,
-            source_revision=revision_id,
             interpolated_dates={
                 datetime.strptime(d, "%Y-%m-%d").date()
                 for d in item.get("interpolated_dates", [])
             },
-        ))
-    return RevisionSeries(revision_id=revision_id, timestamp=ts, series=series)
+        )
+    return RevisionSeries(revision_id=revision_id, timestamp=ts, series=list(series.values()))

@@ -42,13 +42,11 @@ _TOKEN = re.compile(f"[^\\s{_PUNCT_CHARS}](?:\\S*[^\\s{_PUNCT_CHARS}])?|[{_PUNCT
 class RawTable:
     """One wiki table: a header row plus rectangular data rows.
 
-    Cell texts are markup-free. ``source_span`` holds (start, end) character
-    offsets of the ``{| ... |}`` block in the originating wikitext.
+    Cell texts are markup-free.
     """
 
     header: list[str]
     rows: list[list[str]]
-    source_span: tuple[int, int] = (0, 0)
 
 
 @dataclass
@@ -182,11 +180,13 @@ def _table_tokens(text: str) -> list[tuple[int, bool]]:
     return tokens
 
 
-def _find_table_spans(text: str, warn=logger.warning) -> list[tuple[int, int, int]]:
-    """Locate ``{| ... |}`` blocks as (start, end, depth), in closing order.
+def _find_table_spans(text: str, warn=logger.warning) -> list[tuple[int, int, int | None]]:
+    """Locate ``{| ... |}`` blocks as (start, end, parent), in closing order.
 
-    ``end`` is the offset just past the closing ``|}``. Unclosed blocks run
-    to end of text; one warning per scan names how many there are.
+    ``end`` is the offset just past the closing ``|}``; ``parent`` is the
+    start of the innermost enclosing block, or None for an outermost one.
+    Unclosed blocks run to end of text; one warning per scan names how many
+    there are.
     """
     if "{|" not in text:  # most stripped cells hold no table markup
         return []
@@ -197,19 +197,19 @@ def _find_table_spans(text: str, warn=logger.warning) -> list[tuple[int, int, in
             stack.append(offset)
         elif stack:
             start = stack.pop()
-            spans.append((start, offset + 2, len(stack)))
+            spans.append((start, offset + 2, stack[-1] if stack else None))
     if stack:
         warn("%d unclosed table block(s), outermost at offset %d; dropping to end",
              len(stack), stack[0])
     while stack:
         start = stack.pop()
-        spans.append((start, len(text), len(stack)))
+        spans.append((start, len(text), stack[-1] if stack else None))
     return spans
 
 
 def _outer_table_spans(text: str, warn) -> list[tuple[int, int]]:
     """(start, end) of every outermost table block, in document order."""
-    return sorted((s, e) for s, e, depth in _find_table_spans(text, warn) if depth == 0)
+    return sorted((s, e) for s, e, parent in _find_table_spans(text, warn) if parent is None)
 
 
 def _splice(text: str, spans, fills, start: int = 0, end: int | None = None) -> str:
@@ -535,7 +535,7 @@ def _line_cells(text: str, memo: dict[str, tuple[Cell, ...]]) -> tuple[Cell, ...
     return cells
 
 
-def _parse_table_block(block: str, memo: dict) -> tuple[list[str], list[list[str]]] | None:
+def _parse_table_block(block: str, memo: dict) -> RawTable | None:
     """Parse one table block (nested tables already blanked out) into its
     header and data rows.
 
@@ -543,13 +543,8 @@ def _parse_table_block(block: str, memo: dict) -> tuple[list[str], list[list[str
     lines add cells to the current row. The first grid row is the header.
     A block without rows gives None.
     """
-    body = block
-    if body.startswith("{|"):
-        body = body[2:]
-    stripped_tail = body.rstrip()
-    if stripped_tail.endswith("|}"):
-        body = stripped_tail[:-2]
-    lines = body.split("\n")[1:]  # everything on the {| line is attributes
+    # Everything on the {| line is attributes.
+    lines = block.rstrip().removesuffix("|}").split("\n")[1:]
 
     cell_rows: list[list[Cell]] = []
     current: list[Cell] | None = None
@@ -578,12 +573,7 @@ def _parse_table_block(block: str, memo: dict) -> tuple[list[str], list[list[str
     grid = _expand_spans(cell_rows)
     header = grid[0]  # every row holds at least one cell
     width = len(header)
-    rows = []
-    for row in grid[1:]:
-        if len(row) < width:
-            row = row + [""] * (width - len(row))
-        rows.append(row[:width])
-    return header, rows
+    return RawTable(header, [(row + [""] * (width - len(row)))[:width] for row in grid[1:]])
 
 
 def parse_tables(wikitext: str, revision_id: int | None = None, *,
@@ -596,38 +586,34 @@ def parse_tables(wikitext: str, revision_id: int | None = None, *,
 
     ``memo`` maps each stripped table line to its parsed cells, and each
     table block (its nested tables blanked out), keyed ``("block", text)``,
-    to its header and rows, or to None for a block without rows. Passing
-    one dict to every revision of a history parses each distinct block and
-    line once; without it each call starts from an empty dict. A block seen
-    before gets a new RawTable with its own ``source_span``, sharing the
-    memoised header and row lists, which nothing downstream mutates.
+    to its RawTable, or to None for a block without rows. Passing one dict
+    to every revision of a history parses each distinct block and line
+    once; without it each call starts from an empty dict. A block seen
+    before yields the same RawTable object, which nothing downstream
+    mutates.
     """
     if memo is None:
         memo = {}
     spans = sorted(_find_table_spans(wikitext))
-    # Blocks nest, so one stack pass in start order finds each block's direct
-    # children; blanking those blanks every deeper table too.
-    children: list[list[tuple[int, int]]] = [[] for _ in spans]
-    enclosing: list[int] = []
-    for idx, (start, end, _) in enumerate(spans):
-        while enclosing and spans[enclosing[-1]][1] <= start:
-            enclosing.pop()
-        if enclosing:
-            children[enclosing[-1]].append((start, end))
-        enclosing.append(idx)
+    # Blanking a block's direct children blanks every deeper table too.
+    children: dict[int, list[tuple[int, int]]] = {}
+    for start, end, parent in spans:
+        if parent is not None:
+            children.setdefault(parent, []).append((start, end))
 
     tables: list[RawTable] = []
     skipped: list[int] = []
-    for (start, end, _), inner in zip(spans, children):
+    for start, end, _ in spans:
+        inner = children.get(start, ())
         block = _splice(wikitext, inner, (" " * (e - s) for s, e in inner), start, end)
         key = ("block", block)
         if key not in memo:
             memo[key] = _parse_table_block(block, memo)
-        parsed = memo[key]
-        if parsed is None:
+        table = memo[key]
+        if table is None:
             skipped.append(start)
         else:
-            tables.append(RawTable(*parsed, source_span=(start, end)))
+            tables.append(table)
     if skipped:
         logger.warning("skipping %d table(s) with no rows (revision %s, first at offset %d)",
                        len(skipped), revision_id, skipped[0])

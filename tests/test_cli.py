@@ -180,8 +180,11 @@ class TestTables:
           "series": [{"country": "Guinea", "metric": "cases", "points": {}}]}],
         [{"revision_id": 1, "timestamp": None,
           "series": [{"country": "Guinea", "metric": "cases", "points": {"2014-07-01": 10**400}}]}],
+        [{"revision_id": 1, "timestamp": None,
+          "series": [{"country": "Guinea", "metric": "cases", "points": {"2014-07-01": 1}},
+                     {"country": "Guinea", "metric": "cases", "points": {"2014-07-02": 2}}]}],
     ], ids=["no-series", "no-metric", "object", "bad-timestamp", "text-value", "list-id",
-            "no-points", "huge-value"])
+            "no-points", "huge-value", "repeated-pair"])
     @pytest.mark.parametrize("command", ["interpolate", "rmse"])
     def test_malformed_series_is_one_error_line(self, tmp_path, capsys, ground_truth_path,
                                                 command, payload):
@@ -225,7 +228,7 @@ class TestTables:
         assert out.read_text() == ("date,country,metric,value\n"
                                    "2014-03-22,Guinea,cases,49\n"
                                    "2014-03-24,Guinea,deaths,7\n")
-        assert len(load_ground_truth(out).series) == 2
+        assert len(load_ground_truth(out)) == 2
 
 
 class TestRmseCommand:
@@ -367,6 +370,24 @@ class TestNerCommands:
         assert span["type"] == "DEATHS"
         assert set(span) == {"type", "start", "end", "text"}
         assert "deaths" in span["text"]
+
+    def test_tag_with_overflowing_weights_is_one_error_naming_model(self, tmp_path, capsys):
+        from outbreakminer.crf import FeatureConfig, save_model, train
+
+        model_path = tmp_path / "model.tsv"
+        save_model(train(generate_labeled_corpus(4, seed=3),
+                         FeatureConfig(max_ngram_len=1, window=1), max_iter=3), model_path)
+        # Finite weights, whose sum over a path overflows.
+        lines = [line.rsplit("\t", 1)[0] + "\t1e308" if line.startswith("TRANS\t") else line
+                 for line in model_path.read_text(encoding="utf-8").split("\n")]
+        model_path.write_text("\n".join(lines), encoding="utf-8")
+        text_path = tmp_path / "article.txt"
+        text_path.write_text("There were 77 deaths in the region.")
+        assert run("ner", "tag", "--model", str(model_path), "--in", str(text_path),
+                   "--out", str(tmp_path / "spans.json")) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {model_path}: weights overflow in decoding")
+        assert not (tmp_path / "spans.json").exists()
 
     def test_eval_and_sweep_reports(self, tmp_path):
         corpus_path = tmp_path / "train.tsv"

@@ -302,6 +302,13 @@ class TestCacheFiles:
         assert json.loads(path.read_text(encoding="utf-8")) == first
         assert [p.name for p in path.parent.iterdir()] == ["7.json"]
 
+    def test_record_utf8_cannot_encode_is_cache_error_naming_it(self, tmp_path):
+        cache = RevisionCache(tmp_path)
+        path = cache.article_dir("X") / "7.json"
+        with pytest.raises(CacheError, match=f"^{re.escape(str(path))}: .*surrogates"):
+            cache.put_record("X", {"revid": 7, "content": "text \ud800"})
+        assert not list(tmp_path.rglob("*"))
+
     def test_concurrent_writers_stress(self, tmp_path):
         cache = RevisionCache(tmp_path)
         path = cache.article_dir("X") / "7.json"

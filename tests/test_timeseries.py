@@ -11,7 +11,6 @@ from outbreakminer.errors import AlignmentError, GroundTruthError
 from outbreakminer.ingest import ArticleRevision
 from outbreakminer.timeseries import (
     AlignedPair,
-    GroundTruthSet,
     RevisionSeries,
     TimeSeries,
     align,
@@ -52,7 +51,6 @@ class TestExtractSeries:
         assert keys == {("Guinea", "cases"), ("Guinea", "deaths")}
         for s in result:
             assert len(s.points) == 2
-            assert s.source_revision == 7
         cases = next(s for s in result if s.metric == "cases")
         assert cases.points[D(2014, 6, 30)] == 759.0
 
@@ -125,7 +123,7 @@ class TestInterpolateDaily:
         twice = interpolate_daily(once)
         assert once.points == twice.points
         assert once.interpolated_dates == twice.interpolated_dates
-        days = once.sorted_dates()
+        days = sorted(once.points)
         assert [(b - a).days for a, b in zip(days, days[1:])] == [1] * (len(days) - 1)
 
     def test_empty_rejected(self):
@@ -180,6 +178,34 @@ def rev_set(revision_id, *series_list, ts=None):
     return RevisionSeries(revision_id=revision_id, timestamp=ts, series=list(series_list))
 
 
+_PAIRS = [("Guinea", "cases"), ("Guinea", "deaths"), ("Liberia", "cases")]
+_POINT_SETS = [
+    {D(2014, 7, 1): 1.0},
+    {D(2014, 7, 1): 2.0},
+    {D(2014, 7, 1): 1.0, D(2014, 7, 2): 3.0},
+]
+
+
+@st.composite
+def _series_histories(draw):
+    """Revisions holding each (country, metric) pair at most once, in any
+    order, whose points are either one shared dict, an equal copy of it, or
+    an equal copy built in the reverse order."""
+    revisions = []
+    for revision_id in range(draw(st.integers(0, 8))):
+        found = []
+        for country, metric in draw(st.lists(st.sampled_from(_PAIRS), unique=True)):
+            points = draw(st.sampled_from(_POINT_SETS))
+            copy = draw(st.sampled_from(["shared", "copy", "reversed"]))
+            if copy == "copy":
+                points = dict(points)
+            elif copy == "reversed":
+                points = dict(reversed(points.items()))
+            found.append(TimeSeries(country, metric, points))
+        revisions.append(rev_set(revision_id, *found))
+    return revisions
+
+
 class TestDedupSeries:
     def test_all_identical(self):
         a = series(**{"2014_07_01": 1})
@@ -198,9 +224,25 @@ class TestDedupSeries:
         values = [1, 1, 2, 2, 2, 3, 1, 1]
         sets = [rev_set(i, series(**{"2014_07_01": v})) for i, v in enumerate(values)]
         kept = dedup_series(sets)
-        signatures = [r.signature() for r in kept]
-        assert all(x != y for x, y in zip(signatures, signatures[1:]))
+        kept_points = [[s.points for s in r.series] for r in kept]
+        assert all(x != y for x, y in zip(kept_points, kept_points[1:]))
         assert [r.revision_id for r in kept] == [0, 2, 5, 6]
+
+    @given(_series_histories())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sorted_signature_rule(self, revisions):
+        # The rule dedup_series had before: a frozenset of each revision's
+        # (country, metric, sorted points), compared with the last kept one's.
+        expected, last = [], None
+        for rev in revisions:
+            signature = frozenset((s.country, s.metric, tuple(sorted(s.points.items())))
+                                  for s in rev.series)
+            if last is None or signature != last:
+                expected.append(rev)
+                last = signature
+        kept = dedup_series(revisions)
+        assert len(kept) == len(expected)
+        assert all(a is b for a, b in zip(kept, expected))
 
 
 GOOD_CSV = """date,country,metric,value
@@ -213,11 +255,11 @@ GOOD_CSV = """date,country,metric,value
 class TestLoadGroundTruth:
     def test_empty_data_section(self):
         truth = load_ground_truth(io.StringIO("date,country,metric,value\n"))
-        assert truth.series == {}
+        assert truth == {}
 
     def test_three_rows_one_series(self):
         truth = load_ground_truth(io.StringIO(GOOD_CSV))
-        [series_] = truth.series.values()
+        [series_] = truth.values()
         assert len(series_.points) == 3
         assert series_.points[D(2014, 7, 2)] == 105.0
 
@@ -261,7 +303,7 @@ class TestLoadGroundTruth:
     def test_truth_is_interpolated(self):
         gappy = "date,country,metric,value\n2014-07-01,Guinea,cases,10\n2014-07-03,Guinea,cases,20\n"
         truth = load_ground_truth(io.StringIO(gappy))
-        [series_] = truth.series.values()
+        [series_] = truth.values()
         assert series_.points[D(2014, 7, 2)] == 15.0
 
 
@@ -277,7 +319,7 @@ class TestRiversImport:
         assert "2014-12-24,Sierra Leone,deaths,2655" in lines
         # The normalized file loads as canonical ground truth.
         truth = load_ground_truth(out)
-        assert ("Guinea", "cases") in truth.series
+        assert ("Guinea", "cases") in truth
 
 
     def test_field_over_csv_limit_names_file(self, tmp_path):
@@ -357,7 +399,7 @@ class TestRmse:
 class TestRmseReport:
     def test_truth_equal_everywhere_all_zero(self):
         s = series(**{"2014_07_01": 5, "2014_07_02": 6})
-        truth = GroundTruthSet(series={("Guinea", "cases"): s})
+        truth = {("Guinea", "cases"): s}
         sets = [rev_set(1, s, ts=datetime(2014, 7, 2, tzinfo=timezone.utc)),
                 rev_set(2, s)]
         report = rmse_report(sets, truth)
@@ -366,7 +408,7 @@ class TestRmseReport:
 
     def test_hand_computed_mean(self):
         truth_series = series(**{"2014_07_01": 0, "2014_07_02": 0})
-        truth = GroundTruthSet(series={("Guinea", "cases"): truth_series})
+        truth = {("Guinea", "cases"): truth_series}
         one = series(**{"2014_07_01": 1, "2014_07_02": 1})     # RMSE 1.0
         three = series(**{"2014_07_01": 3, "2014_07_02": 3})   # RMSE 3.0
         report = rmse_report([rev_set(1, one), rev_set(2, three)], truth)
@@ -375,7 +417,7 @@ class TestRmseReport:
         assert report.mean_per_country[("Guinea", "cases")] == 2.0
 
     def test_missing_truth_listed_as_gap(self):
-        truth = GroundTruthSet(series={})
+        truth = {}
         report = rmse_report([rev_set(1, series())], truth)
         assert report.gaps == [("Guinea", "cases")]
         assert report.per_revision == {}
@@ -403,9 +445,7 @@ class TestFixturePipeline:
             again = revision_series_from_dict(revision_series_to_dict(rev))
             assert again.revision_id == rev.revision_id
             assert again.timestamp == rev.timestamp
-            assert {s.value_signature() for s in again.series} == {
-                s.value_signature() for s in rev.series
-            }
+            assert again.series == rev.series
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +505,7 @@ def _fill_daily(series):
             points[day] = v0 + (v1 - v0) * step / span
             filled.add(day)
     points[known[-1][0]] = known[-1][1]
-    return TimeSeries(series.country, series.metric, points, series.source_revision,
+    return TimeSeries(series.country, series.metric, points,
                       series.interpolated_dates | filled)
 
 
@@ -489,7 +529,8 @@ def _fresh_revision_series(revisions, interpolate):
 
 def _compared(sets):
     return [(rev.revision_id, rev.timestamp,
-             [(s.value_signature(), s.source_revision, s.interpolated_dates) for s in rev.series])
+             [(s.country, s.metric, sorted(s.points.items()), s.interpolated_dates)
+              for s in rev.series])
             for rev in sets]
 
 
@@ -517,8 +558,5 @@ class TestMemoisedRevisionSeries:
                      for idx in range(3)]
         sets = extract_revision_series(revisions)
         first, *rest = (rev.series[0] for rev in sets)
-        assert [s.source_revision for s in (first, *rest)] == [0, 1, 2]
-        for other in rest:
-            assert other.points is first.points
-            assert other.interpolated_dates is first.interpolated_dates
-        assert first.points == interpolate_daily(extract_series(parse_tables(table))[0]).points
+        assert len(rest) == 2 and all(other is first for other in rest)
+        assert first == interpolate_daily(extract_series(parse_tables(table))[0])

@@ -287,13 +287,6 @@ class TestParseTables:
         outer = next(t for t in tables if t.header == ["Outer"])
         assert outer.rows == [["before after"]]
 
-    def test_source_span_covers_block(self):
-        text = "lead\n{|\n! H\n|-\n| 1\n|}\ntail"
-        [table] = parse_tables(text)
-        start, end = table.source_span
-        assert text[start:start + 2] == "{|"
-        assert text[end - 2:end] == "|}"
-
     def test_malformed_block_skipped_not_raised(self):
         # No rows at all: skipped with a warning, never aborts.
         assert parse_tables("{| class=broken\n|}") == []
@@ -345,12 +338,13 @@ class TestParseTables:
 class TestScanners:
     @pytest.mark.parametrize("text, spans", [
         ("{{|}", []),                      # "{|" after "{" is template syntax
-        ("{|}", [(0, 3, 0)]),              # "|}" may not reuse the opener's pipe
+        ("{|}", [(0, 3, None)]),           # "|}" may not reuse the opener's pipe
         ("a|}}b", []),                     # "|}" before "}" is template syntax
-        ("{|\n|}}", [(0, 6, 0)]),
-        ("{|\n{|\n|}\n|}", [(3, 8, 1), (0, 11, 0)]),
-        ("{| a\n|-\n| 1", [(0, 11, 0)]),   # unclosed runs to end of text
-        ("{|{|", [(2, 4, 1), (0, 4, 0)]),
+        ("{|\n|}}", [(0, 6, None)]),
+        ("{|\n{|\n|}\n|}", [(3, 8, 0), (0, 11, None)]),
+        ("{| a\n|-\n| 1", [(0, 11, None)]),   # unclosed runs to end of text
+        ("{|{|", [(2, 4, 0), (0, 4, None)]),
+        ("{|{|{|\n|}|}{|\n|}\n|}", [(4, 9, 2), (2, 11, 0), (11, 16, 0), (0, 19, None)]),
     ])
     def test_find_table_spans(self, text, spans):
         assert _find_table_spans(text) == spans
@@ -375,12 +369,12 @@ class TestScanners:
                 stack.append(match.start())
             elif stack:
                 start = stack.pop()
-                spans.append((start, match.end(), len(stack)))
+                spans.append((start, match.end(), stack[-1] if stack else None))
         if stack:
             expected_warnings.append((len(stack), stack[0]))
         while stack:
             start = stack.pop()
-            spans.append((start, len(text), len(stack)))
+            spans.append((start, len(text), stack[-1] if stack else None))
         warnings = []
         assert _find_table_spans(text, lambda fmt, *args: warnings.append(args)) == spans
         assert warnings == expected_warnings
@@ -595,6 +589,14 @@ class TestRowMemo:
                                 key=lambda s: (s.country, s.metric))
                 expected.append(RevisionSeries(rev.revision_id, rev.timestamp, series))
         assert extract_revision_series(revisions) == expected
+
+    def test_repeated_block_is_the_same_table(self):
+        block = "{|\n! H\n|-\n| 1\n|}"
+        memo = {}
+        [first] = parse_tables(f"lead\n{block}\ntail", memo=memo)
+        again, other = parse_tables(f"{block}\n{{|\n! H\n|-\n| 2\n|}}", memo=memo)
+        assert again is first and other is not first
+        assert (first.header, first.rows, other.rows) == (["H"], [["1"]], [["2"]])
 
     def test_repeated_malformed_cell_warns_once_per_run(self, caplog):
         table = ("{|\n! Date !! Guinea cases\n|-\n| 1 July 2014 || 5\n"
