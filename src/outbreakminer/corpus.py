@@ -21,8 +21,6 @@ from .wikitext import Sentence, split_sentences, strip_markup
 
 logger = logging.getLogger(__name__)
 
-ENTITY_TYPES = ("DEATHS", "HOSPITALIZATIONS", "INFECTIONS")
-
 # Closed label set, O first then lexicographic; this order is also the
 # decoder's tie-break order.
 LABELS = (
@@ -30,9 +28,6 @@ LABELS = (
     "B-DEATHS", "B-HOSPITALIZATIONS", "B-INFECTIONS",
     "I-DEATHS", "I-HOSPITALIZATIONS", "I-INFECTIONS",
 )
-
-POS_TAGS = ("NOUN", "VERB", "ADJ", "ADV", "NUM", "DET", "PREP", "PRON",
-            "CONJ", "PUNCT", "OTHER")
 
 
 @dataclass(frozen=True)
@@ -382,32 +377,25 @@ def read_iob_tsv(source, strict: bool = True) -> list[list[LabeledToken]]:
             fields = line.split("\t")
             if len(fields) != 3:
                 raise CorpusFormatError(
-                    f"line {line_number}: expected 3 tab-separated fields, got {len(fields)}",
-                    line_number=line_number,
+                    f"line {line_number}: expected 3 tab-separated fields, got {len(fields)}"
                 )
             token, pos, label = fields
             if label not in LABELS:
-                raise CorpusFormatError(
-                    f"line {line_number}: unknown label {label!r}",
-                    line_number=line_number,
-                )
+                raise CorpusFormatError(f"line {line_number}: unknown label {label!r}")
             if label.startswith("I-"):
                 prev = current[-1].label if current else None
                 entity = label[2:]
                 if prev not in (f"B-{entity}", f"I-{entity}"):
                     if strict:
                         raise CorpusFormatError(
-                            f"line {line_number}: {label} not preceded by B-{entity}/I-{entity}",
-                            line_number=line_number,
+                            f"line {line_number}: {label} not preceded by B-{entity}/I-{entity}"
                         )
                     logger.warning(
                         "line %d: repairing dangling %s to B-%s", line_number, label, entity
                     )
                     label = f"B-{entity}"
             if not token:
-                raise CorpusFormatError(
-                    f"line {line_number}: empty token", line_number=line_number
-                )
+                raise CorpusFormatError(f"line {line_number}: empty token")
             current.append(LabeledToken(token=token, pos=pos, label=label))
         if current:
             sentences.append(current)

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import LABELS, LabeledToken, pos_tag
-from .errors import IobStructureError, ModelFormatError, TrainingError
+from .errors import ModelFormatError, TrainingError
 from .textio import open_text, read_text
 
 logger = logging.getLogger(__name__)
@@ -563,10 +563,7 @@ def train(dataset: Sequence[Sequence[LabeledToken]], config: FeatureConfig,
         value, grad = _encoded_nll_grad(w, n_features, n_labels, encoded,
                                         config.l2_lambda)
         if not np.isfinite(value):
-            raise TrainingError(
-                f"objective became non-finite at evaluation {evals}",
-                iteration=evals,
-            )
+            raise TrainingError(f"objective became non-finite at evaluation {evals}")
         return value, grad
 
     result = minimize_lbfgs(
@@ -575,10 +572,7 @@ def train(dataset: Sequence[Sequence[LabeledToken]], config: FeatureConfig,
     )
     model.weights[:] = result.x
     if not np.all(np.isfinite(model.weights)):
-        raise TrainingError(
-            f"non-finite weights after optimization ({evals} evaluations)",
-            iteration=evals,
-        )
+        raise TrainingError(f"non-finite weights after optimization ({evals} evaluations)")
     if result.status == "line_search":
         logger.warning("CRF line search found no acceptable step after %d iterations; "
                        "keeping the last iterate", result.iterations)
@@ -633,15 +627,14 @@ def viterbi(model: CrfModel, tokens: Sequence[str],
         path.append(int(backptr[t, path[-1]]))
     path.reverse()
     labels = [model.labels[i] for i in path]
-    return TagResult(labels, spans_from_iob(labels, strict=False), path_score)
+    return TagResult(labels, spans_from_iob(labels), path_score)
 
 
-def spans_from_iob(labels: Sequence[str], strict: bool = False) -> list[tuple[str, int, int]]:
+def spans_from_iob(labels: Sequence[str]) -> list[tuple[str, int, int]]:
     """(entity_type, start, end) spans from IOB labels; end is inclusive.
 
-    Lenient mode opens a span at a dangling I-X; strict mode raises
-    IobStructureError there. Labels outside the B-/I-/O shapes are treated
-    as background.
+    A dangling I-X opens a span. Labels outside the B-/I-/O shapes are
+    treated as background.
     """
     spans: list[tuple[str, int, int]] = []
     open_type: str | None = None
@@ -661,11 +654,6 @@ def spans_from_iob(labels: Sequence[str], strict: bool = False) -> list[tuple[st
         elif label.startswith("I-"):
             entity = label[2:]
             if open_type != entity:
-                if strict:
-                    raise IobStructureError(
-                        f"position {i}: {label} continues no open {entity} span",
-                        position=i,
-                    )
                 close(i - 1)
                 open_type = entity
                 open_start = i
@@ -714,9 +702,18 @@ def _parse_weight(value: str, line_no: int) -> float:
 
 
 def load_model(source) -> CrfModel:
-    """Inverse of save_model; load(save(m)) reproduces m exactly."""
-    lines = read_text(source).split("\n")
-    if not lines or not lines[0].startswith("crf-model\t"):
+    """Inverse of save_model; load(save(m)) reproduces m exactly.
+
+    A ModelFormatError's message starts with the source it names.
+    """
+    try:
+        return _model_from_lines(read_text(source).split("\n"))
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{source}: {exc}") from None
+
+
+def _model_from_lines(lines: list[str]) -> CrfModel:
+    if not lines[0].startswith("crf-model\t"):
         raise ModelFormatError("missing crf-model header line")
     version = lines[0].split("\t", 1)[1]
     if version != MODEL_FORMAT_VERSION:
@@ -727,8 +724,6 @@ def load_model(source) -> CrfModel:
     if len(lines) < 3 or not lines[1].startswith("labels\t"):
         raise ModelFormatError("missing labels line")
     labels = tuple(lines[1].split("\t")[1:])
-    if not labels:
-        raise ModelFormatError("empty label list")
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ModelFormatError(f"repeated label {label!r}")

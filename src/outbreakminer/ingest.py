@@ -6,8 +6,8 @@ in a per-article index so a warm cache answers with zero network requests.
 Cache writes go through atomic renames of per-writer temp files, so
 concurrent readers never see a partial file and concurrent writers never
 share a temp file. A cache file that is not a JSON object, an index whose
-queries are not lists of revision ids, or a record whose timestamp or id has
-the wrong type raises CacheError naming the file.
+queries are not lists of revision ids, or a record that is not a valid
+revision raises CacheError naming the file.
 """
 
 from __future__ import annotations
@@ -101,11 +101,14 @@ class RevisionCache:
             raise CacheError(f"corrupt cache file {path}: not a JSON object")
         return data
 
+    def record_path(self, title: str, revision_id: int) -> Path:
+        return self.article_dir(title) / f"{revision_id}.json"
+
     def put_record(self, title: str, record: dict) -> None:
-        self._atomic_write(self.article_dir(title) / f"{record['revid']}.json", record)
+        self._atomic_write(self.record_path(title, record["revid"]), record)
 
     def get_record(self, title: str, revision_id: int) -> dict | None:
-        path = self.article_dir(title) / f"{revision_id}.json"
+        path = self.record_path(title, revision_id)
         if not path.exists():
             return None
         return self._read(path)
@@ -127,6 +130,10 @@ class RevisionCache:
 
     def load_all_records(self, title: str) -> list[dict]:
         """Every cached revision record for an article, oldest first."""
+        return [record for _, record in self._record_files(title)]
+
+    def _record_files(self, title: str) -> list[tuple[Path, dict]]:
+        """(path, record) for every cached revision of an article, oldest first."""
         directory = self.article_dir(title)
         if not directory.is_dir():
             return []
@@ -139,8 +146,8 @@ class RevisionCache:
             if not (isinstance(record.get("timestamp", ""), str)
                     and type(record.get("revid", 0)) is int):
                 raise CacheError(f"corrupt cache file {path}: timestamp or revid of wrong type")
-            records.append(record)
-        records.sort(key=lambda r: (r.get("timestamp", ""), r.get("revid", 0)))
+            records.append((path, record))
+        records.sort(key=lambda item: (item[1].get("timestamp", ""), item[1].get("revid", 0)))
         return records
 
 
@@ -177,10 +184,15 @@ def revision_from_record(record: dict) -> ArticleRevision | None:
             wikitext=content,
         )
     except (KeyError, ValueError, TypeError) as exc:
-        raise PayloadError(
-            f"malformed revision record {record.get('revid')!r}: {exc}",
-            fragment=repr(record)[:400],
-        ) from exc
+        raise PayloadError(f"malformed revision record {record.get('revid')!r}: {exc}") from exc
+
+
+def _cached_revision(path: Path, record: dict) -> ArticleRevision | None:
+    """revision_from_record on a cached record; CacheError naming its file."""
+    try:
+        return revision_from_record(record)
+    except PayloadError as exc:
+        raise CacheError(f"corrupt cache file {path}: {exc}") from exc
 
 
 def _default_get_json(endpoint: str) -> Callable[[dict], dict]:
@@ -212,9 +224,11 @@ def fetch_revisions(query: RevisionQuery, cache: RevisionCache,
     key = query.cache_key()
     cached = index["queries"].get(key)
     if cached is not None:
-        records = [cache.get_record(title, rid) for rid in cached["revision_ids"]]
+        ids = cached["revision_ids"]
+        records = [cache.get_record(title, rid) for rid in ids]
         if all(r is not None for r in records):
-            revisions = [revision_from_record(r) for r in records]
+            revisions = [_cached_revision(cache.record_path(title, rid), r)
+                         for rid, r in zip(ids, records)]
             return [r for r in revisions if r is not None]
         logger.warning("cache index for %r is stale; refetching", key)
 
@@ -262,17 +276,13 @@ def fetch_revisions(query: RevisionQuery, cache: RevisionCache,
                 if attempt + 1 == max_retries:
                     raise TransportError(
                         f"network failure after {max_retries} retries "
-                        f"(last continuation token: {continuation!r})",
-                        continuation=continuation,
+                        f"(last continuation token: {continuation!r})"
                     ) from exc
         try:
             pages = payload["query"]["pages"]
             page = pages[0] if isinstance(pages, list) else next(iter(pages.values()))
         except (KeyError, IndexError, StopIteration, TypeError) as exc:
-            raise PayloadError(
-                f"unexpected API response shape: {exc}",
-                fragment=repr(payload)[:400],
-            ) from exc
+            raise PayloadError(f"unexpected API response shape: {exc}") from exc
         if "missing" in page:
             raise ArticleNotFoundError(f"article {title!r} does not exist")
         for record in page.get("revisions", []):
@@ -302,8 +312,8 @@ def fetch_revisions(query: RevisionQuery, cache: RevisionCache,
 def load_cached_revisions(cache: RevisionCache, title: str) -> list[ArticleRevision]:
     """Every cached revision for an article, oldest first, no network."""
     revisions = []
-    for record in cache.load_all_records(title):
-        revision = revision_from_record(record)
+    for path, record in cache._record_files(title):
+        revision = _cached_revision(path, record)
         if revision is not None:
             revisions.append(revision)
     return revisions

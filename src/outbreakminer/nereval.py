@@ -157,7 +157,7 @@ def _in_fold(index: int, compute):
     try:
         return compute()
     except TrainingError as exc:
-        raise TrainingError(f"fold {index}: {exc}", iteration=exc.iteration) from exc
+        raise TrainingError(f"fold {index}: {exc}") from exc
 
 
 def cross_validate(corpus: Sequence[Sequence[LabeledToken]], config: FeatureConfig,

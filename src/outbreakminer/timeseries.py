@@ -23,10 +23,6 @@ logger = logging.getLogger(__name__)
 
 METRICS = ("cases", "deaths")
 
-# Default analysis window start: table data before this date are too
-# sparse to score against daily ground truth.
-DEFAULT_WINDOW_START = date(2014, 6, 30)
-
 # Longer date gaps stay unfilled: one far-off row date (a typo or vandalism)
 # would otherwise fill hundreds of thousands of days per series.
 MAX_FILL_GAP_DAYS = 366
@@ -363,41 +359,31 @@ def load_ground_truth(source) -> dict[tuple[str, str], TimeSeries]:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 4:
-                raise GroundTruthError(
-                    f"row {row_no}: expected 4 columns, got {len(row)}", row=row_no
-                )
+                raise GroundTruthError(f"row {row_no}: expected 4 columns, got {len(row)}")
             raw_date, country, metric, raw_value = (cell.strip() for cell in row)
             try:
                 when = datetime.strptime(raw_date, "%Y-%m-%d").date()
             except ValueError:
                 raise GroundTruthError(
-                    f"row {row_no}: bad date {raw_date!r} (expected ISO-8601)", row=row_no
+                    f"row {row_no}: bad date {raw_date!r} (expected ISO-8601)"
                 ) from None
             if metric not in METRICS:
                 raise GroundTruthError(
-                    f"row {row_no}: metric must be one of {METRICS}, got {metric!r}",
-                    row=row_no,
+                    f"row {row_no}: metric must be one of {METRICS}, got {metric!r}"
                 )
             try:
                 value = float(raw_value)
             except ValueError:
-                raise GroundTruthError(
-                    f"row {row_no}: bad value {raw_value!r}", row=row_no
-                ) from None
+                raise GroundTruthError(f"row {row_no}: bad value {raw_value!r}") from None
             if not math.isfinite(value):
-                raise GroundTruthError(
-                    f"row {row_no}: non-finite value {raw_value!r}", row=row_no
-                )
+                raise GroundTruthError(f"row {row_no}: non-finite value {raw_value!r}")
             if value < 0:
-                raise GroundTruthError(
-                    f"row {row_no}: negative value {value}", row=row_no
-                )
+                raise GroundTruthError(f"row {row_no}: negative value {value}")
             key = (country, metric)
             series = truth.setdefault(key, TimeSeries(country=country, metric=metric))
             if when in series.points:
                 raise GroundTruthError(
-                    f"row {row_no}: duplicate entry for ({raw_date}, {country}, {metric})",
-                    row=row_no,
+                    f"row {row_no}: duplicate entry for ({raw_date}, {country}, {metric})"
                 )
             series.points[when] = value
     return {key: interpolate_daily(s) for key, s in truth.items()}
@@ -481,8 +467,7 @@ def import_rivers_ground_truth(source, destination) -> int:
     return len(rows)
 
 
-def extract_revision_series(revisions, mapping: ColumnMapping = DEFAULT_MAPPING,
-                            interpolate: bool = True) -> list[RevisionSeries]:
+def extract_revision_series(revisions, interpolate: bool = True) -> list[RevisionSeries]:
     """Parse each revision's tables and extract its series set.
 
     Revisions yielding no series (no matching table) contribute nothing.
@@ -506,7 +491,7 @@ def extract_revision_series(revisions, mapping: ColumnMapping = DEFAULT_MAPPING,
     sets: list[RevisionSeries] = []
     for rev in revisions:
         tables = parse_tables(rev.wikitext, revision_id=rev.revision_id, memo=rows)
-        series = extract_series(tables, mapping, revision_id=rev.revision_id, memo=cells)
+        series = extract_series(tables, revision_id=rev.revision_id, memo=cells)
         if not series:
             continue
         if interpolate:
@@ -537,9 +522,7 @@ def align(y_hat: TimeSeries, y: TimeSeries, start: date | None = None) -> Aligne
     if start is not None:
         common = [d for d in common if d >= start]
     if not common:
-        raise AlignmentError(
-            f"no common dates for ({y_hat.country}, {y_hat.metric})"
-        )
+        raise AlignmentError(f"no common dates for ({y_hat.country}, {y_hat.metric})")
     return AlignedPair(
         dates=common,
         y_hat=[y_hat.points[d] for d in common],

@@ -284,22 +284,31 @@ class TestRmseCommand:
                    "--truth", str(ground_truth_path)) == 1
         assert f"corrupt cache file {record}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value, named", [
-        ("timestamp", 5, "105.json"),
-        ("slots", {"main": {"content": ["x"]}}, "revision record 105: "),
-    ], ids=["int-timestamp", "list-content"])
-    @pytest.mark.parametrize("command", ["rmse", "corpus build"])
-    def test_mistyped_record_is_one_error_line(self, seeded_cache_dir, ground_truth_path,
-                                               tmp_path, capsys, command, field, value,
-                                               named):
-        record = RevisionCache(seeded_cache_dir).article_dir("Example outbreak") / "105.json"
-        record.write_text(json.dumps(dict(json.loads(record.read_text()), **{field: value})))
-        extra = (["--truth", str(ground_truth_path)] if command == "rmse"
-                 else ["--out", str(tmp_path / "corpus.tsv")])
+    @pytest.mark.parametrize("field, value", [
+        ("timestamp", 5),
+        ("timestamp", "yesterday"),
+        ("parentid", "abc"),
+        ("slots", {"main": ["x"]}),
+        ("slots", {"main": {"content": ["x"]}}),
+    ], ids=["int-timestamp", "bad-timestamp", "str-parentid", "list-main", "list-content"])
+    @pytest.mark.parametrize("command", ["rmse", "corpus build", "fetch"])
+    def test_mistyped_record_is_one_error_line(self, seeded_cache_dir, fixture_records,
+                                               ground_truth_path, tmp_path, capsys,
+                                               monkeypatch, command, field, value):
+        cache = RevisionCache(seeded_cache_dir)
+        # A warm index, so fetch answers from the cache; the network is never asked.
+        cache.save_index("Example outbreak", {"article_title": "Example outbreak", "queries": {
+            "*..*": {"revision_ids": [record["revid"] for record in fixture_records]}}})
+        monkeypatch.setattr(ingest_mod, "_default_get_json", _offline)
+        record = cache.record_path("Example outbreak", 105)
+        record.write_text(json.dumps(dict(json.loads(record.read_bytes()), **{field: value})),
+                          encoding="utf-8")
+        extra = {"rmse": ["--truth", str(ground_truth_path)],
+                 "corpus build": ["--out", str(tmp_path / "corpus.tsv")], "fetch": []}[command]
         assert run(*command.split(), "--cache", str(seeded_cache_dir),
                    "--title", "Example outbreak", *extra) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: corrupt cache file {record}: ")
         assert not (tmp_path / "corpus.tsv").exists()
 
 
@@ -388,6 +397,38 @@ class TestNerCommands:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {model_path}: weights overflow in decoding")
         assert not (tmp_path / "spans.json").exists()
+
+    _HEAD = "crf-model\t1\nlabels\tO\tB-DEATHS\n"
+    _CONFIG = "config\tmax_ngram_len=1\twindow=0\tuse_pos=0\tuse_shape=0\tl2_lambda=0.0\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("labels\tO\n", "missing crf-model header line"),
+        ("crf-model\t99\nlabels\tO\n", "unsupported model format version '99' (expected '1')"),
+        ("crf-model\t1\n", "missing labels line"),
+        ("crf-model\t1\nlabels\tO\tO\n" + _CONFIG, "repeated label 'O'"),
+        (_HEAD + "w[0]=x\tO\t1.0\n", "missing config line"),
+        (_HEAD + "config\tmax_ngram_len=1\n", "bad config line: 'window'"),
+        (_HEAD + _CONFIG + "TRANS\tO\tB-CASES\t1.0\n", "line 4: unknown label in TRANS entry"),
+        (_HEAD + _CONFIG + "TRANS\tO\tO\t1.0\nTRANS\tO\tO\t2.0\n",
+         "line 5: repeated TRANS entry 'O' 'O'"),
+        (_HEAD + _CONFIG + "w[0]=x\tB-CASES\t1.0\n", "line 4: unknown label 'B-CASES'"),
+        (_HEAD + _CONFIG + "w[0]=x\tO\t1.0\nw[0]=x\tO\t2.0\n",
+         "line 5: repeated entry 'w[0]=x' 'O'"),
+        (_HEAD + _CONFIG + "w[0]=x\tO\tabc\n", "line 4: bad weight 'abc'"),
+        (_HEAD + _CONFIG + "w[0]=x\tO\tinf\n", "line 4: non-finite weight"),
+        (_HEAD + _CONFIG + "w[0]=x\tO\n", "line 4: unparseable entry 'w[0]=x\\tO'"),
+    ], ids=["header", "version", "labels-line", "repeated-label", "config-line", "config-item",
+            "trans-label", "repeated-trans", "emission-label", "repeated-emission", "bad-weight",
+            "non-finite-weight", "unparseable-entry"])
+    def test_tag_with_malformed_model_is_one_error_naming_model(self, tmp_path, capsys, text,
+                                                                message):
+        model_path = tmp_path / "m.tsv"
+        model_path.write_text(text, encoding="utf-8")
+        text_path = tmp_path / "article.txt"
+        text_path.write_text("There were 77 deaths.", encoding="utf-8")
+        assert run("ner", "tag", "--model", str(model_path), "--in", str(text_path),
+                   "--out", str(tmp_path / "spans.json")) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {model_path}: {message}"]
 
     def test_eval_and_sweep_reports(self, tmp_path):
         corpus_path = tmp_path / "train.tsv"

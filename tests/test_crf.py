@@ -19,7 +19,7 @@ from outbreakminer.crf import (
     train,
     viterbi,
 )
-from outbreakminer.errors import IobStructureError, ModelFormatError
+from outbreakminer.errors import ModelFormatError
 from outbreakminer.synthcorpus import generate_labeled_corpus
 
 
@@ -542,7 +542,9 @@ class TestViterbi:
             weights = rng.normal(0, 2.0, len(feature_names) * 7 + 49)
             model = CrfModel(LABELS, feature_names, weights, cfg)
             result = viterbi(model, tokens, ["OTHER"] * n_tokens, constrain_iob=True)
-            spans_from_iob(result.labels, strict=True)  # must not raise
+            for prev, label in zip(["O"] + result.labels, result.labels):
+                if label.startswith("I-"):
+                    assert prev in (f"B-{label[2:]}", label)
 
 
 class TestSpans:
@@ -557,16 +559,11 @@ class TestSpans:
             ("INFECTIONS", 0, 0), ("INFECTIONS", 1, 1),
         ]
 
-    def test_strict_dangling_inside(self):
-        with pytest.raises(IobStructureError) as err:
-            spans_from_iob(["O", "I-DEATHS"], strict=True)
-        assert err.value.position == 1
-
     def test_lenient_opens_span(self):
-        assert spans_from_iob(["O", "I-DEATHS"], strict=False) == [("DEATHS", 1, 1)]
+        assert spans_from_iob(["O", "I-DEATHS"]) == [("DEATHS", 1, 1)]
 
     def test_type_switch_inside(self):
-        assert spans_from_iob(["B-DEATHS", "I-INFECTIONS"], strict=False) == [
+        assert spans_from_iob(["B-DEATHS", "I-INFECTIONS"]) == [
             ("DEATHS", 0, 0), ("INFECTIONS", 1, 1),
         ]
 
@@ -626,7 +623,7 @@ class TestModelIo:
         path.write_text(f"crf-model\t1\nlabels\tO\n{config_line}\n{weight_line}\n")
         with pytest.raises(ModelFormatError) as err:
             load_model(path)
-        assert str(err.value).startswith(message)
+        assert str(err.value).startswith(f"{path}: {message}")
 
     @pytest.mark.parametrize("labels_line, entry_lines, message", [
         ("labels\tO\tO", [], "repeated label 'O'"),
@@ -645,7 +642,7 @@ class TestModelIo:
         ]) + "\n")
         with pytest.raises(ModelFormatError) as err:
             load_model(path)
-        assert str(err.value) == message
+        assert str(err.value) == f"{path}: {message}"
 
     def test_hand_written_model_tags_as_computed(self, tmp_path):
         # Two features; "w[0]=died" pushes B-DEATHS by +2, everything else 0.

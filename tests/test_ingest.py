@@ -81,7 +81,16 @@ class TestFetchRevisions:
         get_json, _ = replay([{"surprise": True}])
         with pytest.raises(PayloadError) as err:
             fetch_revisions(quiet_query(), RevisionCache(tmp_path), get_json=get_json)
-        assert err.value.fragment
+        assert str(err.value) == "unexpected API response shape: 'query'"
+
+    def test_mistyped_api_record_is_payload_error(self, api_pages, tmp_path):
+        # Only a record read back from the cache names a cache file.
+        pages = json.loads(json.dumps(api_pages))
+        pages[0]["query"]["pages"][0]["revisions"][0]["slots"]["main"]["content"] = ["x"]
+        get_json, _ = replay(pages)
+        with pytest.raises(PayloadError) as err:
+            fetch_revisions(quiet_query(), RevisionCache(tmp_path), get_json=get_json)
+        assert str(err.value) == "malformed revision record 900: content is list, not a string"
 
     @pytest.mark.parametrize("error", [OSError, requests.ConnectionError],
                              ids=["OSError", "requests.ConnectionError"])
@@ -99,7 +108,8 @@ class TestFetchRevisions:
         with pytest.raises(TransportError) as err:
             fetch_revisions(quiet_query(), RevisionCache(tmp_path),
                             get_json=flaky, max_retries=2)
-        assert err.value.continuation == "20140401|901"
+        assert str(err.value) == ("network failure after 2 retries "
+                                  "(last continuation token: '20140401|901')")
         assert state["calls"] == 3  # one success + two failed retries
 
     def test_suppressed_revisions_skipped_and_counted(self, tmp_path):

@@ -1,7 +1,10 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outbreakminer import errors
 from outbreakminer.corpus import LabeledToken
 from outbreakminer.crf import FeatureConfig
 from outbreakminer.nereval import (
@@ -154,7 +157,7 @@ class TestCrossValidate:
         from outbreakminer.errors import TrainingError
 
         def explode(*args, **kwargs):
-            raise TrainingError("objective became non-finite", iteration=3)
+            raise TrainingError("objective became non-finite at evaluation 3")
 
         # The pool forks on Linux, so its workers see the patched train too.
         monkeypatch.setattr(nereval, "train", explode)
@@ -162,8 +165,17 @@ class TestCrossValidate:
             with pytest.raises(TrainingError) as err:
                 cross_validate(separable_corpus(6), FAST_CONFIG, k=2, seed=0,
                                n_jobs=n_jobs)
-            assert "fold 0" in str(err.value)
-            assert err.value.iteration == 3
+            assert str(err.value) == "fold 0: objective became non-finite at evaluation 3"
+
+    @pytest.mark.parametrize("cls", [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.OutbreakError)
+    ], ids=lambda cls: cls.__name__)
+    def test_every_error_survives_the_process_pool(self, cls):
+        # A fold's error reaches the parent pickled.
+        copy = pickle.loads(pickle.dumps(cls("fold 0: line 4: bad weight 'abc'")))
+        assert type(copy) is cls
+        assert str(copy) == "fold 0: line 4: bad weight 'abc'"
 
     def test_report_dict_shape(self):
         report = cross_validate(separable_corpus(6), FAST_CONFIG, k=2, seed=0,
