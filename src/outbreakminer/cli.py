@@ -304,7 +304,6 @@ def cmd_ner(args) -> int:
     from . import corpus as corpus_mod
     from . import crf as crf_mod
     from . import nereval
-    from .wikitext import split_sentences
 
     if args.ner_cmd == "train":
         dataset = corpus_mod.read_iob_tsv(args.corpus, strict=args.strict)
@@ -317,6 +316,8 @@ def cmd_ner(args) -> int:
         return 0
     if args.ner_cmd == "tag":
         import numpy as np
+
+        from .wikitext import split_sentences
 
         model = crf_mod.load_model(args.model)
         output = []

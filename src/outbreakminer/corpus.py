@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CorpusFormatError
 from .textio import open_text
-from .wikitext import Sentence, split_sentences, strip_markup
 
 logger = logging.getLogger(__name__)
 
@@ -28,6 +27,12 @@ LABELS = (
     "B-DEATHS", "B-HOSPITALIZATIONS", "B-INFECTIONS",
     "I-DEATHS", "I-HOSPITALIZATIONS", "I-INFECTIONS",
 )
+
+
+def iob_follows(prev: str | None, label: str) -> bool:
+    """The IOB rule: an I-X may only follow B-X or I-X; any other label may
+    follow anything. ``prev`` is None at a sentence start."""
+    return not label.startswith("I-") or prev in ("B" + label[1:], label)
 
 
 @dataclass(frozen=True)
@@ -382,18 +387,16 @@ def read_iob_tsv(source, strict: bool = True) -> list[list[LabeledToken]]:
             token, pos, label = fields
             if label not in LABELS:
                 raise CorpusFormatError(f"line {line_number}: unknown label {label!r}")
-            if label.startswith("I-"):
-                prev = current[-1].label if current else None
+            if not iob_follows(current[-1].label if current else None, label):
                 entity = label[2:]
-                if prev not in (f"B-{entity}", f"I-{entity}"):
-                    if strict:
-                        raise CorpusFormatError(
-                            f"line {line_number}: {label} not preceded by B-{entity}/I-{entity}"
-                        )
-                    logger.warning(
-                        "line %d: repairing dangling %s to B-%s", line_number, label, entity
+                if strict:
+                    raise CorpusFormatError(
+                        f"line {line_number}: {label} not preceded by B-{entity}/I-{entity}"
                     )
-                    label = f"B-{entity}"
+                logger.warning(
+                    "line %d: repairing dangling %s to B-%s", line_number, label, entity
+                )
+                label = f"B-{entity}"
             if not token:
                 raise CorpusFormatError(f"line {line_number}: empty token")
             current.append(LabeledToken(token=token, pos=pos, label=label))
@@ -444,6 +447,8 @@ def build_corpus(revisions: Sequence, threshold: float = 0.75) -> list[list[Labe
     one id dict, and diffed for their added lines alone; each distinct token
     is POS-tagged once. None of this changes the corpus.
     """
+    from .wikitext import Sentence, split_sentences, strip_markup
+
     _check_threshold(threshold)
     sentences: list[Sentence] = []
     strip_memo: dict[str, str | None] = {}

@@ -15,11 +15,12 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import LABELS, LabeledToken, pos_tag
+from .corpus import LABELS, LabeledToken, iob_follows, pos_tag
 from .errors import ModelFormatError, TrainingError
 from .textio import open_text, read_text
 
@@ -589,6 +590,16 @@ def train(dataset: Sequence[Sequence[LabeledToken]], config: FeatureConfig,
 # decoding
 # ---------------------------------------------------------------------------
 
+@lru_cache
+def _iob_forbidden(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of the starts and the (from, to) transitions that
+    ``iob_follows`` forbids, computed once per label tuple."""
+    start = np.array([not iob_follows(None, to) for to in labels])
+    trans = np.array([[not iob_follows(prev, to) for to in labels] for prev in labels])
+    start.flags.writeable = trans.flags.writeable = False  # shared by every caller
+    return start, trans
+
+
 def viterbi(model: CrfModel, tokens: Sequence[str],
             pos: Sequence[str] | None = None,
             constrain_iob: bool = False) -> TagResult:
@@ -597,21 +608,16 @@ def viterbi(model: CrfModel, tokens: Sequence[str],
     Each argmax resolves toward the lowest label index (label order: O
     first, then lexicographic), so repeated decodes of the same input are
     identical; an all-zero model decodes to all-O. With ``constrain_iob``,
-    transitions into I-X from anything other than B-X/I-X are forbidden,
-    as is I-X at the start.
+    every start and transition that ``corpus.iob_follows`` forbids scores
+    -inf: I-X at the start, and I-X after anything but B-X/I-X.
     """
     emis = _emissions(model, tokens, pos)
-    trans = model.transition_weights.copy()
-    start = emis[0].copy()
+    trans = model.transition_weights
+    start = emis[0]
     if constrain_iob:
-        for j, lab in enumerate(model.labels):
-            if lab.startswith("I-"):
-                entity = lab[2:]
-                allowed = {f"B-{entity}", f"I-{entity}"}
-                for i, prev in enumerate(model.labels):
-                    if prev not in allowed:
-                        trans[i, j] = -np.inf
-                start[j] = -np.inf
+        forbid_start, forbid_trans = _iob_forbidden(model.labels)
+        start = np.where(forbid_start, -np.inf, start)
+        trans = np.where(forbid_trans, -np.inf, trans)
 
     n, n_labels = emis.shape
     backptr = np.zeros((n, n_labels), dtype=np.intp)
@@ -633,33 +639,18 @@ def viterbi(model: CrfModel, tokens: Sequence[str],
 def spans_from_iob(labels: Sequence[str]) -> list[tuple[str, int, int]]:
     """(entity_type, start, end) spans from IOB labels; end is inclusive.
 
-    A dangling I-X opens a span. Labels outside the B-/I-/O shapes are
-    treated as background.
+    An I-X that ``corpus.iob_follows`` its predecessor extends the last
+    span; any other B- or I- label, a dangling I-X included, opens one.
+    Labels outside the B-/I-/O shapes are treated as background.
     """
     spans: list[tuple[str, int, int]] = []
-    open_type: str | None = None
-    open_start = 0
-
-    def close(end: int):
-        nonlocal open_type
-        if open_type is not None:
-            spans.append((open_type, open_start, end))
-            open_type = None
-
+    prev = None
     for i, label in enumerate(labels):
-        if label.startswith("B-"):
-            close(i - 1)
-            open_type = label[2:]
-            open_start = i
-        elif label.startswith("I-"):
-            entity = label[2:]
-            if open_type != entity:
-                close(i - 1)
-                open_type = entity
-                open_start = i
-        else:
-            close(i - 1)
-    close(len(labels) - 1)
+        if label.startswith("I-") and iob_follows(prev, label):
+            spans[-1] = (spans[-1][0], spans[-1][1], i)
+        elif label.startswith(("B-", "I-")):
+            spans.append((label[2:], i, i))
+        prev = label
     return spans
 
 

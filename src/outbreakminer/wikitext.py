@@ -68,7 +68,8 @@ _COMMENT = re.compile(r"<!--.*?-->", re.DOTALL)
 # "</ref" and its ">" (or end of text, the "at_end" group). Without "</ref"
 # or without any ">" it drops to end of line. All three cases are logged.
 # Only "ref" ignores case: a literal "<" up front lets the scan skip ahead
-# to each "<".
+# to each "<". An opener past the text's last "</ref" or last ">" is matched
+# by _REF_UNCLOSED or _REF_NO_GT, the branches of _REF that it can reach.
 _REF = re.compile(
     r"<(?i:ref)(?:[^>]*/>"
     r"|[^>]*>.*?</(?i:ref)[^>]*(?:>|(?P<at_end>\Z))"
@@ -76,6 +77,10 @@ _REF = re.compile(
     r"|(?P<no_gt>[^\n]*))",
     re.DOTALL,
 )
+_REF_UNCLOSED = re.compile(r"<(?i:ref)(?:[^>]*/>|(?P<no_close>[^>]*>[^\n]*))")
+_REF_NO_GT = re.compile(r"<(?i:ref)(?P<no_gt>[^\n]*)")
+_REF_OPEN = re.compile(r"<(?i:ref)")
+_LAST_REF_CLOSE = re.compile(r".*</(?i:ref)", re.DOTALL)
 _REF_WARNINGS = {
     "no_close": "<ref> without </ref> at offset %d; dropping rest of line",
     "no_gt": "unclosed <ref tag at offset %d; dropping rest of line",
@@ -109,11 +114,23 @@ def _remove_comments(text: str, warn) -> str:
 
 
 def _drop_refs(text: str, warn) -> str:
-    def drop(match: re.Match) -> str:
+    # As with comments, no ref closes past the last "</ref" and none reaches
+    # past the last ">", so an opener beyond either need not rescan the tail.
+    last_close = _LAST_REF_CLOSE.match(text)
+    last_close = last_close.end() - 5 if last_close else -1
+    last_gt = text.rfind(">")
+    parts, pos = [], 0
+    while opener := _REF_OPEN.search(text, pos):
+        start = opener.start()
+        pattern = (_REF_NO_GT if last_gt < start + 4
+                   else _REF_UNCLOSED if last_close < start else _REF)
+        match = pattern.match(text, start)
         if match.lastgroup:
-            warn(_REF_WARNINGS[match.lastgroup], match.start())
-        return ""
-    return _REF.sub(drop, text)
+            warn(_REF_WARNINGS[match.lastgroup], start)
+        parts.append(text[pos:start])
+        pos = match.end()
+    parts.append(text[pos:])
+    return "".join(parts)
 
 
 def _drop_galleries(text: str, warn) -> str:

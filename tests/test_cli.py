@@ -90,7 +90,7 @@ class TestFetch:
                    "--activity-out", str(activity_csv)) == 0
         assert seen["title"] == "Example outbreak"
         assert "10 revisions" in capsys.readouterr().err
-        lines = activity_csv.read_text().splitlines()
+        lines = activity_csv.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "x,series,value"
         # 2014-07-03 .. 2014-07-09 inclusive, zero-filled.
         assert len(lines) == 1 + 7
@@ -101,25 +101,25 @@ class TestClean:
     def test_strips_markup(self, tmp_path):
         src = tmp_path / "page.wiki"
         dst = tmp_path / "page.txt"
-        src.write_text("[[Ebola virus|the virus]] spread<ref>WHO</ref>.")
+        src.write_text("[[Ebola virus|the virus]] spread<ref>WHO</ref>.", encoding="utf-8")
         assert run("clean", "--in", str(src), "--out", str(dst)) == 0
-        assert dst.read_text() == "the virus spread."
+        assert dst.read_text(encoding="utf-8") == "the virus spread."
 
     def test_keep_tables(self, tmp_path):
         src = tmp_path / "page.wiki"
         dst = tmp_path / "page.txt"
-        src.write_text("x\n{| class=w\n|-\n| 7\n|}\ny")
+        src.write_text("x\n{| class=w\n|-\n| 7\n|}\ny", encoding="utf-8")
         assert run("clean", "--in", str(src), "--out", str(dst), "--keep-tables") == 0
-        assert "{|" in dst.read_text()
+        assert "{|" in dst.read_text(encoding="utf-8")
 
 
 class TestTables:
     def test_parse_to_json(self, tmp_path):
         src = tmp_path / "page.wiki"
         out = tmp_path / "tables.json"
-        src.write_text("{|\n! Date !! Cases\n|-\n| 30 June 2014 || 759\n|}")
+        src.write_text("{|\n! Date !! Cases\n|-\n| 30 June 2014 || 759\n|}", encoding="utf-8")
         assert run("tables", "--in", str(src), "--out", str(out)) == 0
-        data = json.loads(out.read_text())
+        data = json.loads(out.read_text(encoding="utf-8"))
         assert data == [{"header": ["Date", "Cases"], "rows": [["30 June 2014", "759"]]}]
 
     def test_tables_without_io_is_usage_error(self):
@@ -137,10 +137,10 @@ class TestTables:
         assert run("tables", "rmse", "--in", str(daily), "--truth",
                    str(ground_truth_path), "--from", "2014-06-30",
                    "--out", str(out), "--summary", str(summary)) == 0
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "revision_id,timestamp,country,metric,rmse"
         assert len(lines) == 1 + 6 * 4  # 6 unique sets x 4 (country, metric)
-        summary_lines = summary.read_text().splitlines()
+        summary_lines = summary.read_text(encoding="utf-8").splitlines()
         assert summary_lines[0] == "country,metric,mean_rmse"
         assert len(summary_lines) == 5
 
@@ -189,7 +189,7 @@ class TestTables:
     def test_malformed_series_is_one_error_line(self, tmp_path, capsys, ground_truth_path,
                                                 command, payload):
         src = tmp_path / "series.json"
-        src.write_text(json.dumps(payload))
+        src.write_text(json.dumps(payload), encoding="utf-8")
         extra = ["--truth", str(ground_truth_path)] if command == "rmse" else []
         assert run("tables", command, "--in", str(src), *extra,
                    "--out", str(tmp_path / "out")) == 1
@@ -201,33 +201,34 @@ class TestTables:
         out = tmp_path / "canonical.csv"
         assert run("tables", "import-truth", "--in", str(rivers_sample_path),
                    "--out", str(out)) == 0
-        assert out.read_text().startswith("date,country,metric,value\n")
+        assert out.read_text(encoding="utf-8").startswith("date,country,metric,value\n")
 
     def test_import_truth_empty_file_is_domain_error(self, tmp_path, capsys):
         src = tmp_path / "empty.csv"
-        src.write_text("")
+        src.write_text("", encoding="utf-8")
         assert run("tables", "import-truth", "--in", str(src),
                    "--out", str(tmp_path / "out.csv")) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_import_truth_skips_row_without_date(self, tmp_path):
         src = tmp_path / "wide.csv"
-        src.write_text("Day,Date,Cases_Guinea\n1,3/22/2014,49\n5\n9,3/30/2014,112\n")
+        src.write_text("Day,Date,Cases_Guinea\n1,3/22/2014,49\n5\n9,3/30/2014,112\n",
+                       encoding="utf-8")
         out = tmp_path / "out.csv"
         assert run("tables", "import-truth", "--in", str(src), "--out", str(out)) == 0
-        assert out.read_text() == ("date,country,metric,value\n"
-                                   "2014-03-22,Guinea,cases,49\n"
-                                   "2014-03-30,Guinea,cases,112\n")
+        assert out.read_text(encoding="utf-8") == ("date,country,metric,value\n"
+                                                   "2014-03-22,Guinea,cases,49\n"
+                                                   "2014-03-30,Guinea,cases,112\n")
 
     def test_import_truth_skips_non_finite_and_negative_cells(self, tmp_path):
         src = tmp_path / "wide.csv"
         src.write_text("Date,Cases_Guinea,Deaths_Guinea\n"
-                       "3/22/2014,49,inf\n3/23/2014,nan,-5\n3/24/2014,-inf,7\n")
+                       "3/22/2014,49,inf\n3/23/2014,nan,-5\n3/24/2014,-inf,7\n", encoding="utf-8")
         out = tmp_path / "out.csv"
         assert run("tables", "import-truth", "--in", str(src), "--out", str(out)) == 0
-        assert out.read_text() == ("date,country,metric,value\n"
-                                   "2014-03-22,Guinea,cases,49\n"
-                                   "2014-03-24,Guinea,deaths,7\n")
+        assert out.read_text(encoding="utf-8") == ("date,country,metric,value\n"
+                                                   "2014-03-22,Guinea,cases,49\n"
+                                                   "2014-03-24,Guinea,deaths,7\n")
         assert len(load_ground_truth(out)) == 2
 
 
@@ -242,9 +243,9 @@ class TestRmseCommand:
                    "--from", "2014-06-30",
                    "--out", str(out), "--summary", str(summary),
                    "--out-json", str(report_json)) == 0
-        body = summary.read_text()
+        body = summary.read_text(encoding="utf-8")
         assert "Guinea,cases," in body and "Liberia,deaths," in body
-        report = json.loads(report_json.read_text())
+        report = json.loads(report_json.read_text(encoding="utf-8"))
         assert report["kind"] == "rmse_report"
 
     def test_deep_link_nesting_in_a_cell_does_not_abort(self, fixture_records, tmp_path,
@@ -318,7 +319,7 @@ class TestCorpusCommands:
         assert run("corpus", "build", "--cache", str(seeded_cache_dir),
                    "--title", "Example outbreak", "--threshold", "0.75",
                    "--out", str(out)) == 0
-        content = out.read_text()
+        content = out.read_text(encoding="utf-8")
         sentences = [s for s in content.split("\n\n") if s.strip()]
         assert len(sentences) == 8
         assert all(len(line.split("\t")) == 3
@@ -369,11 +370,11 @@ class TestNerCommands:
                    "--max-ngram", "2", "--l2", "0.1",
                    "--out", str(model_path)) == 0
         text_path = tmp_path / "article.txt"
-        text_path.write_text("There were 77 deaths.")
+        text_path.write_text("There were 77 deaths.", encoding="utf-8")
         spans_path = tmp_path / "spans.json"
         assert run("ner", "tag", "--model", str(model_path),
                    "--in", str(text_path), "--out", str(spans_path)) == 0
-        [sentence] = json.loads(spans_path.read_text())
+        [sentence] = json.loads(spans_path.read_text(encoding="utf-8"))
         assert sentence["spans"], "expected at least one tagged span"
         span = sentence["spans"][0]
         assert span["type"] == "DEATHS"
@@ -391,7 +392,7 @@ class TestNerCommands:
                  for line in model_path.read_text(encoding="utf-8").split("\n")]
         model_path.write_text("\n".join(lines), encoding="utf-8")
         text_path = tmp_path / "article.txt"
-        text_path.write_text("There were 77 deaths in the region.")
+        text_path.write_text("There were 77 deaths in the region.", encoding="utf-8")
         assert run("ner", "tag", "--model", str(model_path), "--in", str(text_path),
                    "--out", str(tmp_path / "spans.json")) == 1
         [line] = capsys.readouterr().err.splitlines()
@@ -444,17 +445,28 @@ class TestNerCommands:
         assert run("ner", "eval", "--corpus", str(corpus_path), "--k", "3",
                    "--seed", "1", "--max-iter", "40",
                    "--out", str(report_path)) == 0
-        report = json.loads(report_path.read_text())
+        report = json.loads(report_path.read_text(encoding="utf-8"))
         assert report["kind"] == "metrics_report" and report["folds"] == 3
         sweep_path = tmp_path / "sweep.csv"
         assert run("ner", "sweep", "--corpus", str(corpus_path),
                    "--from", "1", "--to", "2", "--k", "2", "--seed", "0",
                    "--max-iter", "25", "--format", "csv",
                    "--out", str(sweep_path)) == 0
-        lines = sweep_path.read_text().splitlines()
+        lines = sweep_path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "max_ngram_len,precision,recall,f1"
         assert len(lines) == 3
 
+
+    def test_eval_with_two_jobs_writes_the_sequential_report(self, tmp_path):
+        corpus_path = tmp_path / "train.tsv"
+        write_iob_tsv(generate_labeled_corpus(24, seed=3), corpus_path)
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"eval-{jobs}.json"
+            assert run("--jobs", jobs, "ner", "eval", "--corpus", str(corpus_path), "--k", "3",
+                       "--seed", "1", "--max-iter", "15", "--out", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_sweep_honours_feature_flags(self, tmp_path):
         corpus_path = tmp_path / "train.tsv"
@@ -466,7 +478,7 @@ class TestNerCommands:
         def last_f1(*argv):
             out = tmp_path / "out.csv"
             assert run("ner", *argv, *common, "--out", str(out)) == 0
-            with open(out, newline="") as handle:
+            with open(out, newline="", encoding="utf-8") as handle:
                 return list(csv.DictReader(handle))[-1]["f1"]
 
         flagged = last_f1("sweep", "--from", "2", "--to", "2", *flags)
@@ -484,7 +496,7 @@ class TestPlotData:
         ]}
         dst = tmp_path / "activity.csv"
         emit_plot_data(report, str(dst))
-        assert dst.read_text() == (
+        assert dst.read_text(encoding="utf-8") == (
             "x,series,value\n"
             "2014-03-29,revisions,4\n"
             "2014-03-30,revisions,0\n"
@@ -497,7 +509,7 @@ class TestPlotData:
         rows = [SweepRow(i, 0.8, 0.7, 0.75) for i in range(1, 13)]
         dst = tmp_path / "sweep.csv"
         emit_plot_data(rows, str(dst))
-        lines = dst.read_text().splitlines()
+        lines = dst.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 12 * 3  # 12 rows per metric column
 
     def test_eval_csv_format(self, tmp_path):
@@ -514,7 +526,7 @@ class TestPlotData:
         assert run("ner", "eval", "--corpus", str(corpus_path), "--k", "2",
                    "--seed", "0", "--max-iter", "30", "--format", "csv",
                    "--out", str(out)) == 0
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "label,precision,recall,f1,support"
         assert lines[-1].startswith("aggregate,")
 
@@ -535,30 +547,73 @@ class TestReportCommand:
             "revisions": [],
         }
         src = tmp_path / "report.json"
-        src.write_text(json.dumps(report))
+        src.write_text(json.dumps(report), encoding="utf-8")
         dst = tmp_path / "plot.csv"
         assert run("report", "--in", str(src), "--out", str(dst)) == 0
-        lines = dst.read_text().splitlines()
+        lines = dst.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "x,series,value"
         # 2 countries x 3 revisions -> 6 rows per metric.
         assert sum(1 for l in lines[1:] if "/cases" in l) == 6
         assert sum(1 for l in lines[1:] if "/deaths" in l) == 6
 
+    @staticmethod
+    def _plot(tmp_path, report_path):
+        dst = tmp_path / "plot.csv"
+        assert run("report", "--in", str(report_path), "--out", str(dst)) == 0
+        with open(dst, newline="", encoding="utf-8") as handle:
+            return [(row["x"], row["series"], float(row["value"]))
+                    for row in csv.DictReader(handle)]
+
+    def test_metrics_report_to_plot_csv(self, tmp_path):
+        corpus_path = tmp_path / "train.tsv"
+        write_iob_tsv(generate_labeled_corpus(12, seed=3), corpus_path)
+        src = tmp_path / "eval.json"
+        assert run("ner", "eval", "--corpus", str(corpus_path), "--k", "2", "--seed", "0",
+                   "--max-iter", "10", "--out", str(src)) == 0
+        report = json.loads(src.read_text(encoding="utf-8"))
+        rows = self._plot(tmp_path, src)
+        # One row per label and metric, plus one aggregate row per metric.
+        metrics = ("precision", "recall", "f1")
+        assert len(report["per_label"]) > 1
+        assert len(rows) == (len(report["per_label"]) + 1) * len(metrics)
+        assert {(x, series): value for x, series, value in rows} == {
+            (label, metric): values[metric]
+            for label, values in [*report["per_label"].items(), ("aggregate", report["aggregate"])]
+            for metric in metrics
+        }
+
+    def test_sweep_report_to_plot_csv(self, tmp_path):
+        corpus_path = tmp_path / "train.tsv"
+        write_iob_tsv(generate_labeled_corpus(12, seed=3), corpus_path)
+        src = tmp_path / "sweep.json"
+        assert run("ner", "sweep", "--corpus", str(corpus_path), "--from", "1", "--to", "3",
+                   "--k", "2", "--seed", "0", "--max-iter", "10", "--format", "json",
+                   "--out", str(src)) == 0
+        report = json.loads(src.read_text(encoding="utf-8"))
+        rows = self._plot(tmp_path, src)
+        # One row per cap and metric.
+        assert [row["max_ngram_len"] for row in report["rows"]] == [1, 2, 3]
+        assert len(rows) == 3 * 3
+        assert {(int(x), series): value for x, series, value in rows} == {
+            (row["max_ngram_len"], metric): row[metric]
+            for row in report["rows"] for metric in ("precision", "recall", "f1")
+        }
+
     def test_empty_report_header_only(self, tmp_path):
         src = tmp_path / "report.json"
         src.write_text(json.dumps({"kind": "rmse_report", "per_revision": [],
                                    "mean_per_country": [], "gaps": [],
-                                   "revisions": []}))
+                                   "revisions": []}), encoding="utf-8")
         dst = tmp_path / "plot.csv"
         assert run("report", "--in", str(src), "--out", str(dst)) == 0
-        assert dst.read_text() == "x,series,value\n"
+        assert dst.read_text(encoding="utf-8") == "x,series,value\n"
 
     @pytest.mark.parametrize("payload", [
         [], 3, {"kind": "rmse_report"}, {"kind": "nope"},
     ])
     def test_malformed_report_is_domain_error(self, tmp_path, capsys, payload):
         src = tmp_path / "report.json"
-        src.write_text(json.dumps(payload))
+        src.write_text(json.dumps(payload), encoding="utf-8")
         assert run("report", "--in", str(src), "--out", str(tmp_path / "plot.csv")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(src) in err
@@ -585,7 +640,7 @@ class TestCacheDiscipline:
         # --cache points nowhere; the environment wins.
         assert run("tables", "extract", "--cache", str(tmp_path / "nonexistent"),
                    "--title", "Example outbreak", "--out", str(out)) == 0
-        assert json.loads(out.read_text())
+        assert json.loads(out.read_text(encoding="utf-8"))
 
 
 class TestImportGraph:
@@ -601,7 +656,7 @@ class TestImportGraph:
                 "print(*sorted({'numpy', 'scipy', 'requests'} & sys.modules.keys()))")
         env = dict(os.environ, PYTHONPATH=str(Path(outbreakminer.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, encoding="utf-8", timeout=120)
         assert done.stdout.split() == heavy
 
 
@@ -622,9 +677,9 @@ class TestImportGraph:
         )
         env = dict(os.environ, PYTHONPATH=str(Path(outbreakminer.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, encoding="utf-8", timeout=120)
         assert done.stdout.split() == ["False"]
-        assert json.loads((tmp_path / "eval.json").read_text())["aggregate"]
+        assert json.loads((tmp_path / "eval.json").read_text(encoding="utf-8"))["aggregate"]
 
 
 # Each route's argv (with {placeholders} for the test's paths) and the
@@ -655,8 +710,12 @@ _ROUTES = {
                  "concurrent.futures.process"]),
     "ner-eval": (["ner", "eval", "--corpus", "{corpus}", "--k", "2", "--max-iter", "5",
                   "--out", "{out}/eval.json"],
-                 ["outbreakminer.timeseries", "outbreakminer.ingest",
+                 ["outbreakminer.timeseries", "outbreakminer.ingest", "outbreakminer.wikitext",
                   "concurrent.futures.process", "multiprocessing"]),
+    "ner-train": (["ner", "train", "--corpus", "{corpus}", "--max-iter", "5",
+                   "--out", "{out}/trained.tsv"],
+                  ["outbreakminer.timeseries", "outbreakminer.ingest", "outbreakminer.wikitext",
+                   "concurrent.futures.process", "multiprocessing"]),
 }
 
 
@@ -689,7 +748,7 @@ class TestRouteImports:
         env = dict(os.environ, PYTHONPATH=str(Path(outbreakminer.__file__).parents[1]))
         env.pop("OUTBREAK_CACHE_DIR", None)
         done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, encoding="utf-8", timeout=120)
         assert done.stdout.splitlines()[-1] == "[]"
 
 

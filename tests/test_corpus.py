@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outbreakminer import corpus as corpus_module
+from outbreakminer import wikitext as wikitext_module
 from outbreakminer.corpus import (
+    LABELS,
     AgreementTable,
     LabeledToken,
     build_corpus,
     cohen_kappa,
     dedup_sentences,
+    iob_follows,
     line_diff,
     pos_tag,
     read_iob_tsv,
@@ -289,6 +292,36 @@ def labeled_sentences(draw):
     return sentences
 
 
+class TestIobFollows:
+    def test_truth_table(self):
+        starts = (None, *LABELS)
+        allowed = {label: {prev for prev in starts if iob_follows(prev, label)}
+                   for label in LABELS}
+        assert allowed == {
+            "O": set(starts),
+            "B-DEATHS": set(starts),
+            "B-HOSPITALIZATIONS": set(starts),
+            "B-INFECTIONS": set(starts),
+            "I-DEATHS": {"B-DEATHS", "I-DEATHS"},
+            "I-HOSPITALIZATIONS": {"B-HOSPITALIZATIONS", "I-HOSPITALIZATIONS"},
+            "I-INFECTIONS": {"B-INFECTIONS", "I-INFECTIONS"},
+        }
+
+    @pytest.mark.parametrize("prev, label, follows", [
+        ("B-", "I-", True),
+        ("I-", "I-", True),
+        (None, "I-", False),
+        ("B-FOO", "I-FOO", True),
+        ("I-DEATHS", "I-FOO", False),
+        ("B-DEATHS", "I-DEATHSX", False),
+        ("DEATHS", "I-DEATHS", False),
+        (None, "X", True),
+        ("I-DEATHS", "", True),
+    ])
+    def test_labels_outside_the_closed_set(self, prev, label, follows):
+        assert iob_follows(prev, label) is follows
+
+
 class TestIobTsv:
     def test_single_token_file_content(self, tmp_path):
         path = tmp_path / "one.tsv"
@@ -327,6 +360,15 @@ class TestIobTsv:
         text = "a\tNUM\tB-DEATHS\nb\tNOUN\tI-INFECTIONS\n"
         with pytest.raises(CorpusFormatError):
             read_iob_tsv(io.StringIO(text), strict=True)
+
+    def test_dangling_message_and_repair_warning(self, caplog):
+        text = "a\tNUM\tB-DEATHS\nb\tNOUN\tI-INFECTIONS\n"
+        with pytest.raises(CorpusFormatError) as err:
+            read_iob_tsv(io.StringIO(text), strict=True)
+        assert str(err.value) == "line 2: I-INFECTIONS not preceded by B-INFECTIONS/I-INFECTIONS"
+        [sentence] = read_iob_tsv(io.StringIO(text), strict=False)
+        assert [tok.label for tok in sentence] == ["B-DEATHS", "B-INFECTIONS"]
+        assert caplog.messages == ["line 2: repairing dangling I-INFECTIONS to B-INFECTIONS"]
 
     @given(labeled_sentences())
     @settings(max_examples=80, deadline=None)
@@ -496,7 +538,7 @@ class TestBuildCorpus:
     @pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan")])
     def test_bad_threshold_rejected_before_stripping(self, monkeypatch, threshold):
         calls = []
-        monkeypatch.setattr(corpus_module, "strip_markup", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(wikitext_module, "strip_markup", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
             build_corpus([_rev(1, "One."), _rev(2, "One. Two.")], threshold)
         assert calls == []

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outbreakminer.corpus import LABELS, LabeledToken
 from outbreakminer.crf import (
@@ -567,6 +569,36 @@ class TestSpans:
             ("DEATHS", 0, 0), ("INFECTIONS", 1, 1),
         ]
 
+    @given(st.lists(st.sampled_from(LABELS + ("B-", "I-", "X", "I-FOO", "B-FOO", ""))))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_open_span_tracker(self, labels):
+        # The span tracker that spans_from_iob replaced, kept as the reference.
+        spans = []
+        open_type = None
+        open_start = 0
+
+        def close(end):
+            nonlocal open_type
+            if open_type is not None:
+                spans.append((open_type, open_start, end))
+                open_type = None
+
+        for i, label in enumerate(labels):
+            if label.startswith("B-"):
+                close(i - 1)
+                open_type = label[2:]
+                open_start = i
+            elif label.startswith("I-"):
+                entity = label[2:]
+                if open_type != entity:
+                    close(i - 1)
+                    open_type = entity
+                    open_start = i
+            else:
+                close(i - 1)
+        close(len(labels) - 1)
+        assert spans_from_iob(labels) == spans
+
 
 class TestModelIo:
     def test_round_trip(self, tmp_path):
@@ -582,7 +614,7 @@ class TestModelIo:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("crf-model\t99\nlabels\tO\nconfig\tmax_ngram_len=1\n")
+        path.write_text("crf-model\t99\nlabels\tO\nconfig\tmax_ngram_len=1\n", encoding="utf-8")
         with pytest.raises(ModelFormatError) as err:
             load_model(path)
         assert "99" in str(err.value)
@@ -593,7 +625,7 @@ class TestModelIo:
             "crf-model\t1\n"
             "labels\tO\tB-DEATHS\n"
             "config\tmax_ngram_len=1\twindow=0\tuse_pos=0\tuse_shape=0\tl2_lambda=0.0\n"
-            "w[0]=x\tB-CASES\t1.0\n"
+            "w[0]=x\tB-CASES\t1.0\n", encoding="utf-8"
         )
         with pytest.raises(ModelFormatError):
             load_model(path)
@@ -604,7 +636,7 @@ class TestModelIo:
             "crf-model\t1\n"
             "labels\tO\tB-DEATHS\n"
             "config\tmax_ngram_len=1\twindow=0\tuse_pos=0\tuse_shape=0\tl2_lambda=0.0\n"
-            "w[0]=x\tO\tnan\n"
+            "w[0]=x\tO\tnan\n", encoding="utf-8"
         )
         with pytest.raises(ModelFormatError):
             load_model(path)
@@ -620,7 +652,8 @@ class TestModelIo:
     def test_malformed_config_or_weight_named(self, tmp_path, config_line,
                                               weight_line, message):
         path = tmp_path / "bad.tsv"
-        path.write_text(f"crf-model\t1\nlabels\tO\n{config_line}\n{weight_line}\n")
+        path.write_text(f"crf-model\t1\nlabels\tO\n{config_line}\n{weight_line}\n",
+                        encoding="utf-8")
         with pytest.raises(ModelFormatError) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: {message}")
@@ -639,7 +672,7 @@ class TestModelIo:
             "crf-model\t1", labels_line,
             "config\tmax_ngram_len=1\twindow=0\tuse_pos=0\tuse_shape=0\tl2_lambda=0.0",
             *entry_lines,
-        ]) + "\n")
+        ]) + "\n", encoding="utf-8")
         with pytest.raises(ModelFormatError) as err:
             load_model(path)
         assert str(err.value) == f"{path}: {message}"
@@ -659,7 +692,7 @@ class TestModelIo:
             "TRANS\tO\tO\t0.0\n"
             "TRANS\tO\tB-DEATHS\t0.0\n"
             "TRANS\tB-DEATHS\tO\t0.0\n"
-            "TRANS\tB-DEATHS\tB-DEATHS\t0.0\n"
+            "TRANS\tB-DEATHS\tB-DEATHS\t0.0\n", encoding="utf-8"
         )
         model = load_model(path)
         result = viterbi(model, ["died"], ["VERB"])

@@ -223,7 +223,7 @@ class TestCacheLayout:
         article_dir = cache.article_dir("Example outbreak")
         names = sorted(p.name for p in article_dir.iterdir())
         assert names == ["900.json", "901.json", "902.json", "index.json"]
-        record = json.loads((article_dir / "900.json").read_text())
+        record = json.loads((article_dir / "900.json").read_text(encoding="utf-8"))
         assert record["revid"] == 900
 
     def test_records_written_before_return(self, api_pages, tmp_path):

@@ -152,6 +152,12 @@ class TestCrossValidate:
         b = cross_validate(corpus, FAST_CONFIG, k=3, seed=7, max_iter=40)
         assert a == b
 
+    def test_parallel_folds_give_the_sequential_report(self):
+        corpus = separable_corpus(12)
+        sequential = cross_validate(corpus, FAST_CONFIG, k=3, seed=7, max_iter=40, n_jobs=1)
+        assert cross_validate(corpus, FAST_CONFIG, k=3, seed=7, max_iter=40,
+                              n_jobs=2) == sequential
+
     def test_training_error_carries_fold_index(self, monkeypatch):
         from outbreakminer import nereval
         from outbreakminer.errors import TrainingError

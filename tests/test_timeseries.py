@@ -294,7 +294,7 @@ class TestLoadGroundTruth:
 
     def test_field_over_csv_limit_names_file(self, tmp_path):
         src = tmp_path / "truth.csv"
-        src.write_text(GOOD_CSV + "2014-07-04,Guinea," + "x" * 200_000 + ",1\n")
+        src.write_text(GOOD_CSV + "2014-07-04,Guinea," + "x" * 200_000 + ",1\n", encoding="utf-8")
         limit = f"^{re.escape(str(src))}: field larger than field limit"
         with pytest.raises(GroundTruthError, match=limit):
             load_ground_truth(src)
@@ -310,7 +310,7 @@ class TestRiversImport:
     def test_sample_normalized(self, rivers_sample_path, tmp_path):
         out = tmp_path / "truth.csv"
         written = import_rivers_ground_truth(rivers_sample_path, out)
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "date,country,metric,value"
         # 4 dates x 6 columns minus the one blank Cases_Guinea cell.
         assert written == 4 * 6 - 1
@@ -323,7 +323,7 @@ class TestRiversImport:
 
     def test_field_over_csv_limit_names_file(self, tmp_path):
         src = tmp_path / "wide.csv"
-        src.write_text("Date,Cases_Guinea\n1/5/2015," + "9" * 200_000 + "\n")
+        src.write_text("Date,Cases_Guinea\n1/5/2015," + "9" * 200_000 + "\n", encoding="utf-8")
         limit = f"^{re.escape(str(src))}: field larger than field limit"
         with pytest.raises(GroundTruthError, match=limit):
             import_rivers_ground_truth(src, tmp_path / "out.csv")

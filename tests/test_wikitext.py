@@ -16,6 +16,7 @@ from outbreakminer.timeseries import (
 )
 from outbreakminer.wikitext import (
     _HEADING_LINE,
+    _drop_refs,
     _find_table_spans,
     _heading_text,
     _link_texts,
@@ -155,6 +156,21 @@ class TestStripMarkup:
 _RECURSIVE_LINK_TOKEN = re.compile(r"\[\[|\]\]")
 _BACKTRACKING_HEADING = re.compile(r"^[ \t]*=+[ \t]*(.*?)[ \t]*=+[ \t]*$", re.MULTILINE)
 
+# The ref rule as one regex applied from every opener, which rescans to the
+# end of the text from each opener with no "</ref" or ">" after it.
+_ONE_PATTERN_REF = re.compile(
+    r"<(?i:ref)(?:[^>]*/>"
+    r"|[^>]*>.*?</(?i:ref)[^>]*(?:>|(?P<at_end>\Z))"
+    r"|(?P<no_close>[^>]*>[^\n]*)"
+    r"|(?P<no_gt>[^\n]*))",
+    re.DOTALL,
+)
+_ONE_PATTERN_REF_WARNINGS = {
+    "no_close": "<ref> without </ref> at offset %d; dropping rest of line",
+    "no_gt": "unclosed <ref tag at offset %d; dropping rest of line",
+    "at_end": "</ref without > after <ref> at offset %d; dropping to end",
+}
+
 
 def _recursive_links(text, warn, nested_warn):
     if "[[" not in text:
@@ -227,6 +243,23 @@ class TestAdversarialMarkup:
         assert (_HEADING_LINE.sub(_heading_text, text)
                 == _BACKTRACKING_HEADING.sub(r"\1", text))
 
+    @given(st.lists(st.sampled_from(["<ref", "<REF ", ">", "/>", "</ref", "</Ref >", "\n",
+                                     "x", "y"]), max_size=30).map("".join))
+    @settings(max_examples=1000, deadline=None)
+    def test_refs_match_one_pattern_rule(self, text):
+        expected_warnings = []
+
+        def drop(match):
+            if match.lastgroup:
+                expected_warnings.append(
+                    (_ONE_PATTERN_REF_WARNINGS[match.lastgroup], match.start()))
+            return ""
+
+        expected = _ONE_PATTERN_REF.sub(drop, text)
+        warnings = []
+        assert _drop_refs(text, lambda *args: warnings.append(args)) == expected
+        assert warnings == expected_warnings
+
     @pytest.mark.parametrize("n", [2000, 8000])
     def test_long_heading_run_stays_fast(self, n):
         started = time.perf_counter()
@@ -238,16 +271,19 @@ class TestAdversarialMarkup:
     # opener that has no closer after it.
     @pytest.mark.parametrize("n", [2000, 8000])
     @pytest.mark.parametrize("shape, plain, warnings", [
-        (lambda n: "<!--" * n, lambda n: "", 1),
-        (lambda n: "<gallery>" * n, lambda n: "", 1),
-        (lambda n: "[http://a " * n, lambda n: "[http://a " * n, 0),
-        (lambda n: "[http://a " * n + "\n]", lambda n: "[http://a " * n + "\n]", 0),
-    ], ids=["comments", "galleries", "link-no-close", "link-closed-next-line"])
+        (lambda n: "<!--" * n, lambda n: "", lambda n: 1),
+        (lambda n: "<gallery>" * n, lambda n: "", lambda n: 1),
+        (lambda n: "[http://a " * n, lambda n: "[http://a " * n, lambda n: 0),
+        (lambda n: "[http://a " * n + "\n]", lambda n: "[http://a " * n + "\n]", lambda n: 0),
+        (lambda n: "<ref>\n" * n, lambda n: "\n" * n, lambda n: n),
+        (lambda n: "<ref\n" * n, lambda n: "\n" * n, lambda n: n),
+    ], ids=["comments", "galleries", "link-no-close", "link-closed-next-line",
+            "ref-no-close", "ref-no-gt"])
     def test_unclosed_run_stays_fast(self, caplog, n, shape, plain, warnings):
         started = time.perf_counter()
         assert strip_markup(shape(n)) == plain(n)
         assert time.perf_counter() - started < 1.0
-        assert len(caplog.records) == warnings
+        assert len(caplog.records) == warnings(n)
 
 
 class TestParseTables:
