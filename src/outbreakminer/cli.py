@@ -76,20 +76,12 @@ def _csv_writer(destination: str | None):
         yield csv.writer(handle, lineterminator="\n")
 
 
-def _sweep_report(rows: list) -> dict:
-    return {"kind": "sweep_report", "rows": [asdict(row) for row in rows]}
-
-
 # ---------------------------------------------------------------------------
 # plot data emission
 # ---------------------------------------------------------------------------
 
-def emit_plot_data(report, destination) -> None:
-    """Write a tidy long-format CSV (x, series, value) for any report kind."""
-    if hasattr(report, "to_dict"):
-        report = report.to_dict()
-    if isinstance(report, list):  # sweep rows
-        report = _sweep_report(report)
+def emit_plot_data(report: dict, destination) -> None:
+    """Write a tidy long-format CSV (x, series, value) for a report dict of any kind."""
     kind = report.get("kind")
     rows: list[tuple] = []
     if kind == "sweep_report":
@@ -378,7 +370,8 @@ def cmd_ner(args) -> int:
                     writer.writerow([row.max_ngram_len, repr(row.precision),
                                      repr(row.recall), repr(row.f1)])
         else:
-            _write_json(_sweep_report(rows), args.output)
+            _write_json({"kind": "sweep_report", "rows": [asdict(row) for row in rows]},
+                        args.output)
         return 0
     raise _UsageError("ner: choose a subcommand (train, tag, eval, sweep)")
 

@@ -53,7 +53,6 @@ class LabeledToken:
 @dataclass(frozen=True)
 class DiffResult:
     added_lines: list[str]
-    deleted_lines: list[str]
 
 
 @dataclass(frozen=True)
@@ -131,9 +130,9 @@ def _middle_snake(a: Sequence[int], b: Sequence[int]):
     raise AssertionError("middle snake not found")  # unreachable
 
 
-def _unmatched(a, b, a0, a1, b0, b1, deleted: list, added: list) -> None:
-    """Extend deleted and added, in ascending order, with the indices of
-    a[a0:a1] and b[b0:b1] that lie outside one longest common subsequence."""
+def _unmatched(a, b, a0, a1, b0, b1, added: list) -> None:
+    """Extend added, in ascending order, with the indices of b[b0:b1] that
+    lie outside one longest common subsequence of a[a0:a1] and b[b0:b1]."""
     while a0 < a1 and b0 < b1 and a[a0] == b[b0]:
         a0 += 1
         b0 += 1
@@ -142,28 +141,23 @@ def _unmatched(a, b, a0, a1, b0, b1, deleted: list, added: list) -> None:
         b1 -= 1
     if a0 < a1 and b0 < b1:
         x, y, u, v = _middle_snake(a[a0:a1], b[b0:b1])
-        _unmatched(a, b, a0, a0 + x, b0, b0 + y, deleted, added)
-        _unmatched(a, b, a0 + u, a1, b0 + v, b1, deleted, added)
+        _unmatched(a, b, a0, a0 + x, b0, b0 + y, added)
+        _unmatched(a, b, a0 + u, a1, b0 + v, b1, added)
     else:
-        deleted.extend(range(a0, a1))
         added.extend(range(b0, b1))
 
 
 def line_diff(old_text: str, new_text: str) -> DiffResult:
-    """LCS line diff: lines of each side not in a longest common subsequence.
-
-    A line modified between revisions therefore shows up once in
-    deleted_lines and once in added_lines.
-    """
+    """LCS line diff: the new text's lines outside a longest common
+    subsequence, so a line modified between revisions is added."""
     a_lines = old_text.splitlines()
     b_lines = new_text.splitlines()
     ids: dict[str, int] = {}
-    deleted, added = [], []
+    added: list[int] = []
     _unmatched([ids.setdefault(line, len(ids)) for line in a_lines],
                [ids.setdefault(line, len(ids)) for line in b_lines],
-               0, len(a_lines), 0, len(b_lines), deleted, added)
-    return DiffResult(added_lines=[b_lines[j] for j in added],
-                      deleted_lines=[a_lines[i] for i in deleted])
+               0, len(a_lines), 0, len(b_lines), added)
+    return DiffResult(added_lines=[b_lines[j] for j in added])
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +455,7 @@ def build_corpus(revisions: Sequence, threshold: float = 0.75) -> list[list[Labe
         cur = [ids.setdefault(line, len(ids)) for line in lines]
         if prev is not None:
             added: list[int] = []
-            _unmatched(prev, cur, 0, len(prev), 0, len(cur), [], added)
+            _unmatched(prev, cur, 0, len(prev), 0, len(cur), added)
             for j in added:
                 sentences.extend(split_sentences(lines[j], source_revision=rev.revision_id))
         prev = cur

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import LABELS, LabeledToken, iob_follows, pos_tag
+from .corpus import LABELS, LabeledToken, iob_follows
 from .errors import ModelFormatError, TrainingError
 from .textio import open_text, read_text
 
@@ -240,10 +240,8 @@ def _emission_scores(emission_w, token, local, local_starts, window) -> np.ndarr
     return emis_t
 
 
-def _emissions(model: CrfModel, tokens: Sequence[str],
-               pos: Sequence[str] | None) -> np.ndarray:
-    """One sentence's (positions x labels) scores; ``pos`` defaults to pos_tag."""
-    pos = pos_tag(tokens) if pos is None else pos
+def _emissions(model: CrfModel, tokens: Sequence[str], pos: Sequence[str]) -> np.ndarray:
+    """One sentence's (positions x labels) scores."""
     if not tokens or len(pos) != len(tokens):
         raise ValueError("sequence must be non-empty, with one POS tag per token")
     return _emission_scores(model.emission_weights, *_encode_tokens(model, [tokens], [pos])).T
@@ -259,8 +257,7 @@ def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def log_forward_backward(model: CrfModel, tokens: Sequence[str],
-                         pos: Sequence[str] | None = None):
+def log_forward_backward(model: CrfModel, tokens: Sequence[str], pos: Sequence[str]):
     """Log partition plus per-position and per-edge label marginals.
 
     Exact, all in log space. Each unary row sums to 1; each pairwise table
@@ -600,8 +597,7 @@ def _iob_forbidden(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     return start, trans
 
 
-def viterbi(model: CrfModel, tokens: Sequence[str],
-            pos: Sequence[str] | None = None,
+def viterbi(model: CrfModel, tokens: Sequence[str], pos: Sequence[str],
             constrain_iob: bool = False) -> TagResult:
     """Maximum-score label path with deterministic tie-breaking.
 

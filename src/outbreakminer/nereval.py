@@ -28,7 +28,6 @@ class ConfusionCounts:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-    tn: int = 0
 
     @property
     def support(self) -> int:
@@ -83,8 +82,8 @@ class SweepRow:
 
 
 def score_labels(gold: Sequence[Sequence[str]], predicted: Sequence[Sequence[str]],
-                 labels: Iterable[str] | None = None) -> dict[str, ConfusionCounts]:
-    """Token-level confusion counts per non-O label.
+                 labels: Iterable[str]) -> dict[str, ConfusionCounts]:
+    """Token-level confusion counts for each of ``labels``.
 
     ``gold`` and ``predicted`` must have identical sentence/token structure.
     """
@@ -97,11 +96,6 @@ def score_labels(gold: Sequence[Sequence[str]], predicted: Sequence[Sequence[str
             raise ValueError(
                 f"sentence {i}: gold has {len(g)} tokens, predicted has {len(p)}"
             )
-    if labels is None:
-        seen = {lab for sent in gold for lab in sent}
-        seen.update(lab for sent in predicted for lab in sent)
-        labels = sorted(seen - {"O"})
-    total = sum(len(sent) for sent in gold)
     counts = {}
     for label in labels:
         tp = fp = fn = 0
@@ -113,7 +107,7 @@ def score_labels(gold: Sequence[Sequence[str]], predicted: Sequence[Sequence[str
                     fp += 1
                 elif g == label:
                     fn += 1
-        counts[label] = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=total - tp - fp - fn)
+        counts[label] = ConfusionCounts(tp=tp, fp=fp, fn=fn)
     return counts
 
 

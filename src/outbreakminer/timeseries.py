@@ -421,7 +421,7 @@ def import_rivers_ground_truth(source, destination) -> int:
                 columns.append((idx, country, metric))
         if date_idx is None or not columns:
             raise GroundTruthError(
-                "input does not look like a Rivers-style file "
+                f"{source}: input does not look like a Rivers-style file "
                 "(need a Date column and Cases_*/Deaths_* columns)"
             )
         rows: list[tuple[date, str, str, float]] = []

@@ -350,9 +350,11 @@ def _split_protected(text: str, seps: tuple[str, ...]) -> list[str]:
 
 
 # Neither a URL nor a tag may span a NUL, so neither can swallow a shelved table.
-_EXTERNAL_LINK = re.compile(r"\[(?:https?|ftp)://[^\s\x00]*(?:[^\S\n]+([^\]\n]*))?\]")
+# As in MediaWiki, a URL stops at "[" or "]" and a tag at "<", so no opener's
+# run reaches past the next opener and a run of openers is matched in linear time.
+_EXTERNAL_LINK = re.compile(r"\[(?:https?|ftp)://[^\s\x00\[\]]*(?:[^\S\n]+([^\]\n]*))?\]")
 _HEADING_LINE = re.compile(r"^[ \t]*=[^\n]*", re.MULTILINE)
-_HTML_TAG = re.compile(r"</?[A-Za-z][^>\n\x00]*>")
+_HTML_TAG = re.compile(r"</?[A-Za-z][^<>\n\x00]*>")
 _LIST_MARKER = re.compile(r"^[*#:;]+[^\S\n]*", re.MULTILINE)
 _TABLE_MARKER = re.compile(r"\x00T(\d+)\x00")
 
@@ -597,9 +599,11 @@ def parse_tables(wikitext: str, revision_id: int | None = None, *,
                  memo: dict | None = None) -> list[RawTable]:
     """Extract every well-formed table as a RawTable, in document order.
 
-    Nested tables yield their own RawTable; their markup is blanked out of
-    the enclosing block so outer cells stay clean. Blocks without rows are
-    skipped, never raised; one warning per call counts them.
+    Nested tables yield their own RawTable; each is blanked to one space in
+    the enclosing block so outer cells stay clean, and so a run of unclosed
+    openers, each reaching to the end of the text, costs linear memory.
+    Blocks without rows are skipped, never raised; one warning per call
+    counts them.
 
     ``memo`` maps each stripped table line to its parsed cells, and each
     table block (its nested tables blanked out), keyed ``("block", text)``,
@@ -622,7 +626,7 @@ def parse_tables(wikitext: str, revision_id: int | None = None, *,
     skipped: list[int] = []
     for start, end, _ in spans:
         inner = children.get(start, ())
-        block = _splice(wikitext, inner, (" " * (e - s) for s, e in inner), start, end)
+        block = _splice(wikitext, inner, repeat(" "), start, end)
         key = ("block", block)
         if key not in memo:
             memo[key] = _parse_table_block(block, memo)

@@ -2,10 +2,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from outbreakminer.ingest import RevisionCache, revision_from_record
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# `pytest --hypothesis-profile=long`: random draws, 200 examples for each test
+# that does not fix its own count. TestDamagedInputs takes both from the loaded
+# profile; under the default profile it keeps 5 derandomized examples a case.
+settings.register_profile("long", max_examples=200, derandomize=False)
 
 
 @pytest.fixture(scope="session")

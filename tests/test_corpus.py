@@ -41,7 +41,7 @@ def _lcs_length(a, b):
 
 def _pairwise_line_diff(old_text, new_text):
     """Reference line diff: lists every matched (i, j) pair of the same
-    Myers recursion, then takes each side's complement."""
+    Myers recursion, then returns the new side's unmatched lines."""
     a_lines = old_text.splitlines()
     b_lines = new_text.splitlines()
     ids = {}
@@ -67,12 +67,8 @@ def _pairwise_line_diff(old_text, new_text):
 
     matches = []
     match_pairs(0, len(a), 0, len(b), matches)
-    matched_a = {i for i, _ in matches}
     matched_b = {j for _, j in matches}
-    return (
-        [line for j, line in enumerate(b_lines) if j not in matched_b],
-        [line for i, line in enumerate(a_lines) if i not in matched_a],
-    )
+    return [line for j, line in enumerate(b_lines) if j not in matched_b]
 
 
 EDIT_LINE = st.sampled_from(["", "", "alpha", "beta", "gamma", "The outbreak began.",
@@ -107,18 +103,16 @@ def edit_histories(draw, line=EDIT_LINE, max_lines=12):
 class TestLineDiff:
     def test_identical(self):
         result = line_diff("a\nb\nc", "a\nb\nc")
-        assert result.added_lines == [] and result.deleted_lines == []
+        assert result.added_lines == []
 
     def test_insertion(self):
         # LCS by hand: a and b match; x is the only unmatched new line.
         result = line_diff("a\nb", "a\nx\nb")
         assert result.added_lines == ["x"]
-        assert result.deleted_lines == []
 
-    def test_modified_line_in_both_lists(self):
+    def test_modified_line_is_added(self):
         result = line_diff("There are 45 new cases.", "There are 56 new cases.")
         assert result.added_lines == ["There are 56 new cases."]
-        assert result.deleted_lines == ["There are 45 new cases."]
 
     @given(
         st.lists(st.integers(0, 3), max_size=14),
@@ -130,7 +124,6 @@ class TestLineDiff:
         b = [str(v) for v in b_vals]
         result = line_diff("\n".join(a), "\n".join(b))
         lcs = _lcs_length(a, b)
-        assert len(result.deleted_lines) == len(a) - lcs
         assert len(result.added_lines) == len(b) - lcs
         # Added lines are a subsequence of the new text, in order.
         it = iter(b)
@@ -141,8 +134,7 @@ class TestLineDiff:
     def test_matches_pairwise_reference(self, history):
         texts = ["\n".join(lines) for lines in history]
         for old_text, new_text in zip(texts, texts[1:]):
-            result = line_diff(old_text, new_text)
-            assert (result.added_lines, result.deleted_lines) == \
+            assert line_diff(old_text, new_text).added_lines == \
                 _pairwise_line_diff(old_text, new_text)
 
 
@@ -482,7 +474,7 @@ def _pairwise_corpus(revisions, threshold):
             continue
         plain = strip_markup(rev.wikitext, remove_tables=True)
         if prev_plain is not None:
-            for line in _pairwise_line_diff(prev_plain, plain)[0]:
+            for line in _pairwise_line_diff(prev_plain, plain):
                 sentences.extend(split_sentences(line, source_revision=rev.revision_id))
         prev_plain = plain
     kept = dedup_sentences(sentences, threshold, key=lambda s: s.text)

@@ -329,6 +329,13 @@ class TestRiversImport:
             import_rivers_ground_truth(src, tmp_path / "out.csv")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_missing_columns_names_file(self, tmp_path):
+        src = tmp_path / "wide.csv"
+        src.write_text("1/5/2015,2775\n", encoding="utf-8")
+        with pytest.raises(GroundTruthError, match=f"^{re.escape(str(src))}: input does not"):
+            import_rivers_ground_truth(src, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestAlign:
     def test_identical_ranges(self):

@@ -1,6 +1,7 @@
 import re
 import string
 import time
+import tracemalloc
 from datetime import date, datetime
 
 import pytest
@@ -270,18 +271,24 @@ class TestAdversarialMarkup:
     # Rules that could rescan the rest of the text, or of a line, from each
     # opener that has no closer after it.
     @pytest.mark.parametrize("n", [2000, 8000])
-    @pytest.mark.parametrize("shape, plain, warnings", [
-        (lambda n: "<!--" * n, lambda n: "", lambda n: 1),
-        (lambda n: "<gallery>" * n, lambda n: "", lambda n: 1),
-        (lambda n: "[http://a " * n, lambda n: "[http://a " * n, lambda n: 0),
-        (lambda n: "[http://a " * n + "\n]", lambda n: "[http://a " * n + "\n]", lambda n: 0),
-        (lambda n: "<ref>\n" * n, lambda n: "\n" * n, lambda n: n),
-        (lambda n: "<ref\n" * n, lambda n: "\n" * n, lambda n: n),
+    @pytest.mark.parametrize("shape, plain, warnings, remove_tables", [
+        (lambda n: "<!--" * n, lambda n: "", lambda n: 1, True),
+        (lambda n: "<gallery>" * n, lambda n: "", lambda n: 1, True),
+        (lambda n: "[http://a " * n, lambda n: "[http://a " * n, lambda n: 0, True),
+        (lambda n: "[http://a " * n + "\n]", lambda n: "[http://a " * n + "\n]", lambda n: 0,
+         True),
+        (lambda n: "<ref>\n" * n, lambda n: "\n" * n, lambda n: n, True),
+        (lambda n: "<ref\n" * n, lambda n: "\n" * n, lambda n: n, True),
+        # A NUL ends the URL runs, or the kept table's own NUL placeholder does.
+        (lambda n: "[http://a" * n + "\x00]", lambda n: "[http://a" * n + "\x00]",
+         lambda n: 0, True),
+        (lambda n: "[http://a" * n + KEPT_TABLE + "]", lambda n: "[http://a" * n + KEPT_TABLE + "]",
+         lambda n: 0, False),
     ], ids=["comments", "galleries", "link-no-close", "link-closed-next-line",
-            "ref-no-close", "ref-no-gt"])
-    def test_unclosed_run_stays_fast(self, caplog, n, shape, plain, warnings):
+            "ref-no-close", "ref-no-gt", "link-nul", "link-kept-table"])
+    def test_unclosed_run_stays_fast(self, caplog, n, shape, plain, warnings, remove_tables):
         started = time.perf_counter()
-        assert strip_markup(shape(n)) == plain(n)
+        assert strip_markup(shape(n), remove_tables=remove_tables) == plain(n)
         assert time.perf_counter() - started < 1.0
         assert len(caplog.records) == warnings(n)
 
@@ -455,6 +462,39 @@ class TestSpanLimits:
         for table in parse_tables(text):
             for row in [table.header, *table.rows]:
                 assert len(row) <= 1000 * raw_cells
+
+
+class TestScaling:
+    """Every entry point stays linear in time on a long run of one markup token."""
+
+    @pytest.mark.parametrize("n", [2000, 16000])
+    @pytest.mark.parametrize("token", MARKUP_TOKENS)
+    def test_token_run_stays_fast(self, token, n):
+        text = token * n
+        for call in [
+            lambda: strip_markup(text),
+            lambda: strip_markup(text, memo={}),
+            lambda: strip_markup(text, remove_tables=False),
+            lambda: strip_markup(text, remove_tables=False, memo={}),
+            lambda: parse_tables(text),
+            lambda: parse_tables(text, memo={}),
+            lambda: split_sentences(text),
+            lambda: tokenize(text),
+        ]:
+            started = time.perf_counter()
+            call()
+            assert time.perf_counter() - started < 1.0
+
+    def test_nested_table_run_stays_small(self):
+        # Each unclosed "{|" runs to the end of the text; its block holds
+        # each nested block as one space, so the blocks sum to linear size.
+        tracemalloc.start()
+        try:
+            parse_tables("{|" * 16_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
 
 # Paragraph pieces for the memo tests: markup tokens, blank-line splits,
