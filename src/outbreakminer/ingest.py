@@ -3,19 +3,15 @@
 Fetches follow rvcontinue tokens until the window is exhausted, write every
 raw API record to the cache before returning, and record the completed query
 in a per-article index so a warm cache answers with zero network requests.
-Cache writes go through atomic renames of per-writer temp files, so
-concurrent readers never see a partial file and concurrent writers never
-share a temp file. A cache file that is not a JSON object, an index whose
-queries are not lists of revision ids, or a record that is not a valid
-revision raises CacheError naming the file.
+Every cache file is written whole by textio.open_text. A cache file that is
+not a JSON object, an index whose queries are not lists of revision ids, or
+a record that is not a valid revision raises CacheError naming the file.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -24,7 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ArticleNotFoundError, CacheError, OutbreakError, PayloadError, TransportError
-from .textio import read_json
+from .textio import open_text, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -76,19 +72,11 @@ class RevisionCache:
     def _atomic_write(self, path: Path, payload: dict) -> None:
         try:
             data = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
-        except UnicodeEncodeError as exc:  # a lone surrogate in a string
+        except UnicodeEncodeError as exc:  # a lone surrogate, caught before any file is made
             raise CacheError(f"{path}: {exc}") from None
         path.parent.mkdir(parents=True, exist_ok=True)
-        # A temp file of its own per write, so concurrent writers of one path
-        # never share one; the *.json glob skips it.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with open_text(path, "w", newline="") as handle:
+            handle.buffer.write(data)  # already UTF-8, so encoded once
 
     @staticmethod
     def _read(path: Path) -> dict:

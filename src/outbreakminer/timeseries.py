@@ -162,7 +162,8 @@ def parse_count(text: str) -> float | None:
         return None
     if not _THOUSANDS_VALUE.match(cleaned):
         return None
-    return float(cleaned.replace(",", ""))
+    value = float(cleaned.replace(",", ""))
+    return value if value < math.inf else None  # a run of digits past 1.8e308
 
 
 def _merge_two_row_header(table: RawTable, mapping: ColumnMapping) -> tuple[list[str], list[list[str]]]:
@@ -480,8 +481,8 @@ def extract_revision_series(revisions, interpolate: bool = True) -> list[Revisio
     distinct header and parses each distinct cell once, and each distinct
     raw series (country, metric and points) is interpolated once into one
     TimeSeries, shared by every revision that repeats it; nothing downstream
-    mutates it. A malformed table line's warning is logged once per
-    call; per-cell warnings are logged per revision.
+    mutates it. Warnings are logged per revision: ``parse_tables`` counts the
+    tables it skips, and ``extract_series`` names each unparseable cell.
     """
     from .wikitext import parse_tables
 
@@ -608,7 +609,8 @@ def revision_series_to_dict(rev: RevisionSeries) -> dict:
 def revision_series_from_dict(data: dict) -> RevisionSeries:
     """Inverse of revision_series_to_dict; a malformed dict raises LookupError,
     TypeError, AttributeError, ValueError or OverflowError. A (country, metric)
-    pair may appear once per revision, as extract_series writes it."""
+    pair may appear once per revision, and each point must be finite and
+    non-negative, as extract_series writes them."""
     revision_id = data["revision_id"]
     if type(revision_id) is not int:
         raise TypeError(f"revision_id {revision_id!r} is not an integer")
@@ -622,6 +624,9 @@ def revision_series_from_dict(data: dict) -> RevisionSeries:
                   for d, v in item["points"].items()}
         if not points:  # extract_series writes no empty series
             raise ValueError(f"revision {revision_id}: {country}/{metric} has no points")
+        if not all(0 <= v < math.inf for v in points.values()):  # nan fails both
+            raise ValueError(f"revision {revision_id}: {country}/{metric} has a point "
+                             "that is not finite and non-negative")
         if (country, metric) in series:
             raise ValueError(f"revision {revision_id}: {country}/{metric} appears twice")
         series[country, metric] = TimeSeries(

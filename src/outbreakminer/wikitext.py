@@ -473,6 +473,9 @@ _BRACKET = re.compile(r"[{}\[\]]")
 # MediaWiki's limits; beyond them one vandal attribute could exhaust memory.
 _MAX_ROWSPAN = 65534
 _MAX_COLSPAN = 1000
+# A larger table's grid (rows times header width) is skipped unexpanded; the
+# README says why the limit is this one.
+_MAX_CELLS = 100_000
 
 
 def _span_value(digits: str, limit: int) -> int:
@@ -504,14 +507,15 @@ def _parse_cell(raw: str) -> tuple[str, int, int]:
     return " ".join(text.split()), rowspan, colspan
 
 
-def _expand_spans(cell_rows: list[list[tuple[str, int, int]]]) -> list[list[str]]:
-    """Duplicate rowspan/colspan cell values into a rectangular grid."""
+def _expand_spans(cell_rows: list[list[tuple[str, int, int]]], width: int) -> list[list[str]]:
+    """Duplicate rowspan/colspan cell values into a grid of rows at most
+    ``width`` columns wide; what lies past the last column is dropped."""
     grid: list[list[str]] = []
     carry: dict[int, list] = {}  # column -> [value, rows remaining]
     for cells in cell_rows:
         row: list[str] = []
         col = idx = 0
-        while idx < len(cells) or col in carry:
+        while col < width and (idx < len(cells) or col in carry):
             if col in carry:
                 value, remaining = carry[col]
                 row.append(value)
@@ -523,7 +527,7 @@ def _expand_spans(cell_rows: list[list[tuple[str, int, int]]]) -> list[list[str]
                 continue
             text, rowspan, colspan = cells[idx]
             idx += 1
-            for _ in range(colspan):
+            for _ in range(min(colspan, width - col)):
                 row.append(text)
                 if rowspan > 1:
                     carry[col] = [text, rowspan - 1]
@@ -554,13 +558,14 @@ def _line_cells(text: str, memo: dict[str, tuple[Cell, ...]]) -> tuple[Cell, ...
     return cells
 
 
-def _parse_table_block(block: str, memo: dict) -> RawTable | None:
+def _parse_table_block(block: str, memo: dict) -> RawTable | str:
     """Parse one table block (nested tables already blanked out) into its
     header and data rows.
 
     Rows break at ``|-`` only, matching MediaWiki semantics; ``!`` and ``|``
     lines add cells to the current row. The first grid row is the header.
-    A block without rows gives None.
+    A block without rows, or whose grid would pass ``_MAX_CELLS`` cells,
+    gives the reason it is skipped instead.
     """
     # Everything on the {| line is attributes.
     lines = block.rstrip().removesuffix("|}").split("\n")[1:]
@@ -588,11 +593,12 @@ def _parse_table_block(block: str, memo: dict) -> RawTable | None:
         cell_rows.append(current)
 
     if not cell_rows:
-        return None
-    grid = _expand_spans(cell_rows)
-    header = grid[0]  # every row holds at least one cell
-    width = len(header)
-    return RawTable(header, [(row + [""] * (width - len(row)))[:width] for row in grid[1:]])
+        return "with no rows"
+    width = sum(colspan for _, _, colspan in cell_rows[0])  # nothing carries into the header
+    if len(cell_rows) * width > _MAX_CELLS:
+        return f"over {_MAX_CELLS} cells"
+    grid = _expand_spans(cell_rows, width)
+    return RawTable(grid[0], [row + [""] * (width - len(row)) for row in grid[1:]])
 
 
 def parse_tables(wikitext: str, revision_id: int | None = None, *,
@@ -602,12 +608,13 @@ def parse_tables(wikitext: str, revision_id: int | None = None, *,
     Nested tables yield their own RawTable; each is blanked to one space in
     the enclosing block so outer cells stay clean, and so a run of unclosed
     openers, each reaching to the end of the text, costs linear memory.
-    Blocks without rows are skipped, never raised; one warning per call
+    Blocks without rows, and blocks whose grid would pass ``_MAX_CELLS``
+    cells, are skipped, never raised; one warning per call and reason
     counts them.
 
     ``memo`` maps each stripped table line to its parsed cells, and each
     table block (its nested tables blanked out), keyed ``("block", text)``,
-    to its RawTable, or to None for a block without rows. Passing one dict
+    to its RawTable, or to the reason it is skipped. Passing one dict
     to every revision of a history parses each distinct block and line
     once; without it each call starts from an empty dict. A block seen
     before yields the same RawTable object, which nothing downstream
@@ -623,7 +630,7 @@ def parse_tables(wikitext: str, revision_id: int | None = None, *,
             children.setdefault(parent, []).append((start, end))
 
     tables: list[RawTable] = []
-    skipped: list[int] = []
+    skipped: dict[str, list[int]] = {}  # reason -> block offsets
     for start, end, _ in spans:
         inner = children.get(start, ())
         block = _splice(wikitext, inner, repeat(" "), start, end)
@@ -631,13 +638,13 @@ def parse_tables(wikitext: str, revision_id: int | None = None, *,
         if key not in memo:
             memo[key] = _parse_table_block(block, memo)
         table = memo[key]
-        if table is None:
-            skipped.append(start)
+        if isinstance(table, str):
+            skipped.setdefault(table, []).append(start)
         else:
             tables.append(table)
-    if skipped:
-        logger.warning("skipping %d table(s) with no rows (revision %s, first at offset %d)",
-                       len(skipped), revision_id, skipped[0])
+    for reason, starts in skipped.items():
+        logger.warning("skipping %d table(s) %s (revision %s, first at offset %d)",
+                       len(starts), reason, revision_id, starts[0])
     return tables
 
 

@@ -183,8 +183,16 @@ class TestTables:
         [{"revision_id": 1, "timestamp": None,
           "series": [{"country": "Guinea", "metric": "cases", "points": {"2014-07-01": 1}},
                      {"country": "Guinea", "metric": "cases", "points": {"2014-07-02": 2}}]}],
+        [{"revision_id": 1, "timestamp": None,
+          "series": [{"country": "Guinea", "metric": "cases",
+                      "points": {"2014-07-01": 1, "2014-07-02": float("nan")}}]}],
+        [{"revision_id": 1, "timestamp": None,
+          "series": [{"country": "Guinea", "metric": "cases", "points": {"2014-07-01": -7}}]}],
+        [{"revision_id": 1, "timestamp": None,
+          "series": [{"country": "Guinea", "metric": "cases", "points": {"2014-07-01": "1e999"}}]}],
     ], ids=["no-series", "no-metric", "object", "bad-timestamp", "text-value", "list-id",
-            "no-points", "huge-value", "repeated-pair"])
+            "no-points", "huge-value", "repeated-pair", "nan-value", "negative-value",
+            "inf-value"])
     @pytest.mark.parametrize("command", ["interpolate", "rmse"])
     def test_malformed_series_is_one_error_line(self, tmp_path, capsys, ground_truth_path,
                                                 command, payload):
@@ -196,6 +204,23 @@ class TestTables:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {src}: ")
         assert not (tmp_path / "out").exists()
+
+    def test_extract_skips_count_past_float_range(self, seeded_cache_dir, fixture_records,
+                                                  tmp_path, caplog):
+        record = dict(fixture_records[-1], revid=999, timestamp="2014-07-10T00:00:00Z")
+        record["slots"] = {"main": {"content": "{|\n! Date !! Guinea cases\n"
+                                               f"|-\n| 1 July 2014 || {'9' * 400}\n"
+                                               "|-\n| 2 July 2014 || 5\n|}"}}
+        RevisionCache(seeded_cache_dir).put_record("Example outbreak", record)
+        out = tmp_path / "raw.json"
+        assert run("tables", "extract", "--cache", str(seeded_cache_dir),
+                   "--title", "Example outbreak", "--out", str(out)) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"revision 999: unparseable count '{'9' * 400}' (Guinea, cases); cell skipped"]
+        [last] = [rev for rev in json.loads(out.read_text(encoding="utf-8"))
+                  if rev["revision_id"] == 999]
+        assert last["series"] == [{"country": "Guinea", "metric": "cases",
+                                   "points": {"2014-07-02": 5.0}, "interpolated_dates": []}]
 
     def test_import_truth(self, rivers_sample_path, tmp_path):
         out = tmp_path / "canonical.csv"
@@ -608,6 +633,84 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(src) in err
         assert "Traceback" not in err
+
+
+class TestWholeOutputs:
+    """A command that fails while writing leaves its output as it was, and no temp file."""
+
+    OLD = b"old output\n"
+
+    @staticmethod
+    def _cache_with_surrogate(tmp_path, fixture_records) -> Path:
+        # RevisionCache refuses to write a lone surrogate; a JSON escape holds one.
+        cache = RevisionCache(tmp_path / "cache")
+        for record in fixture_records:
+            cache.put_record("Example outbreak", record)
+        last = fixture_records[-1]
+        content = last["slots"]["main"]["content"].replace(
+            "A vaccination trial", "A vaccination \ud800 trial")
+        record = dict(last, slots={"main": {"content": content}})
+        cache.record_path("Example outbreak", last["revid"]).write_text(
+            json.dumps(record), encoding="utf-8")
+        return tmp_path / "cache"
+
+    @staticmethod
+    def _json_with_surrogate(tmp_path, kind) -> Path:
+        country = ["Guinea", "\ud800"]
+        payload = {
+            "series": [{"revision_id": 1, "timestamp": None, "series": [
+                {"country": c, "metric": "cases", "points": {"2014-07-01": 1}}
+                for c in country]}],
+            "report": {"kind": "rmse_report", "mean_per_country": [], "gaps": [],
+                       "revisions": [], "per_revision": [
+                           {"revision_id": 1, "country": c, "metric": "cases", "rmse": 1.0}
+                           for c in country]},
+        }[kind]
+        src = tmp_path / f"{kind}.json"
+        src.write_text(json.dumps(payload), encoding="utf-8")
+        return src
+
+    @pytest.mark.parametrize("command", ["corpus build", "tables interpolate", "report"])
+    def test_surrogate_in_output_keeps_old_output(self, tmp_path, fixture_records, capsys,
+                                                  command):
+        if command == "corpus build":
+            cache = self._cache_with_surrogate(tmp_path, fixture_records)
+            argv = ["--cache", str(cache), "--title", "Example outbreak"]
+        else:
+            kind = {"tables interpolate": "series", "report": "report"}[command]
+            argv = ["--in", str(self._json_with_surrogate(tmp_path, kind))]
+        out = tmp_path / "out" / "result"
+        out.parent.mkdir()
+        out.write_bytes(self.OLD)
+        assert run(*command.split(), *argv, "--out", str(out)) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {out}: ") and line.endswith("surrogates not allowed")
+        assert out.read_bytes() == self.OLD
+        assert [p.name for p in out.parent.iterdir()] == ["result"]
+
+    def test_tables_extract_failing_in_write_keeps_old_output(self, seeded_cache_dir,
+                                                             tmp_path, capsys):
+        # What tables extract writes is ASCII by construction (header words,
+        # ISO dates, numbers), so a full disk stands in for the failure.
+        out = tmp_path / "out" / "raw.json"
+        out.parent.mkdir()
+        out.write_bytes(self.OLD)
+        full = OSError(28, "No space left on device")
+        with mock.patch("outbreakminer.cli.json.dumps", side_effect=full):
+            assert run("tables", "extract", "--cache", str(seeded_cache_dir),
+                       "--title", "Example outbreak", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert out.read_bytes() == self.OLD
+        assert [p.name for p in out.parent.iterdir()] == ["raw.json"]
+
+    def test_missing_directory_error_names_output(self, tmp_path, capsys):
+        src = tmp_path / "page.wiki"
+        src.write_text("text", encoding="utf-8")
+        out = tmp_path / "nodir" / "out.txt"
+        assert run("clean", "--in", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert not (tmp_path / "nodir").exists()
 
 
 class TestCacheDiscipline:

@@ -57,6 +57,11 @@ class TestExtractSeries:
     def test_comma_separated_value(self):
         assert parse_count("1,022") == 1022.0
 
+    @pytest.mark.parametrize("text", ["9" * 400, "999," * 103 + "999"],
+                             ids=["400-digits", "104-groups"])
+    def test_count_past_float_range_is_unparseable(self, text):
+        assert parse_count(text) is None
+
     def test_unparseable_cells_skipped(self):
         text = (
             "{|\n! Date !! Liberia cases\n"

@@ -17,6 +17,7 @@ from outbreakminer.timeseries import (
 )
 from outbreakminer.wikitext import (
     _HEADING_LINE,
+    _MAX_CELLS,
     _drop_refs,
     _find_table_spans,
     _heading_text,
@@ -463,6 +464,48 @@ class TestSpanLimits:
             for row in [table.header, *table.rows]:
                 assert len(row) <= 1000 * raw_cells
 
+    @given(
+        rows=st.lists(
+            st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_grid_matches_full_expansion(self, rows):
+        # Each row is expanded only up to the header's width; the grid must
+        # equal expanding every row in full, then padding and cutting it.
+        lines, spans, value = ["{|"], [], 0
+        for row in rows:
+            cells = []
+            for rowspan, colspan in row:
+                cells.append((f"v{value}", rowspan, colspan))
+                lines.append(f"| rowspan={rowspan} colspan={colspan} | v{value}")
+                value += 1
+            spans.append(cells)
+            lines.append("|-")
+        [table] = parse_tables("\n".join(lines + ["|}"]))
+        grid, carry = [], {}
+        for cells in spans:
+            full, col, cells = [], 0, list(cells)
+            while cells or col in carry:
+                if col in carry:
+                    text, left = carry.pop(col)
+                    if left > 1:
+                        carry[col] = (text, left - 1)
+                    full.append(text)
+                    col += 1
+                    continue
+                text, rowspan, colspan = cells.pop(0)
+                for _ in range(colspan):
+                    if rowspan > 1:
+                        carry[col] = (text, rowspan - 1)
+                    full.append(text)
+                    col += 1
+            grid.append(full)
+        width = len(grid[0])
+        assert [table.header, *table.rows] == [(r + [""] * width)[:width] for r in grid]
+
 
 class TestScaling:
     """Every entry point stays linear in time on a long run of one markup token."""
@@ -484,6 +527,33 @@ class TestScaling:
             started = time.perf_counter()
             call()
             assert time.perf_counter() - started < 1.0
+
+    def test_span_grid_over_cell_limit_is_skipped_fast_and_small(self, caplog):
+        # 140 KB of wikitext whose spans would expand to a 20,001 x 1,000 grid.
+        text = "{|\n! rowspan=65534 colspan=1000 | x\n" + "|-\n| y\n" * 20_000 + "|}\n"
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            tables = parse_tables(text, revision_id=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 1.0
+        assert peak < 10_000_000
+        assert tables == []
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping 1 table(s) over {_MAX_CELLS} cells (revision 3, first at offset 0)"]
+
+    def test_grid_at_cell_limit_parses(self, caplog):
+        # 100 rows of 1,000 columns: the header's spans carry into every row,
+        # and each row's own cell lies past the last column.
+        rows = _MAX_CELLS // 1000
+        head = "{|\n! rowspan=65534 colspan=1000 | x\n"
+        [table] = parse_tables(head + "|-\n| y\n" * (rows - 1) + "|}\n")
+        assert table.header == ["x"] * 1000
+        assert table.rows == [["x"] * 1000] * (rows - 1)
+        assert caplog.records == []
+        assert parse_tables(head + "|-\n| y\n" * rows + "|}\n") == []
 
     def test_nested_table_run_stays_small(self):
         # Each unclosed "{|" runs to the end of the text; its block holds
